@@ -11,12 +11,13 @@
 //          [--plant NAME] [--git-sha SHA] [--source-digest HEX]
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 interleaves traced
-// and untraced blocks and prints the per-layer table instead. The last
+// and untraced cycles and prints the per-layer table instead. The last
 // stdout line is one JSON object: correct, attempted, failed, metrics.
 
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -102,7 +103,9 @@ Options parseArgs(int argc, char** argv) {
 /// The three workloads (README.md explains each choice). Every workload
 /// carries all four action classes so every end-to-end metric exists on
 /// every workload; the fixed task cycle decides which layers dominate, and
-/// keeps the mix identical from seed to seed.
+/// keeps the mix identical from seed to seed. The cycles, document lengths
+/// and text mix are assumptions without a measured source (README.md,
+/// "Where the traffic numbers come from").
 std::optional<WorkloadSpec> specFor(const std::string& name, bool smoke) {
   using enum Task;
   WorkloadSpec s;
@@ -120,6 +123,8 @@ std::optional<WorkloadSpec> specFor(const std::string& name, bool smoke) {
     }
     s.cycle.push_back(kDocsDelete);
     s.warmupCycles = 3;
+    s.blockCycles = 12;  // the W1 W2 W3 W2 rotation over three documents
+    s.cyclesPerSecond = 1.8;
   } else if (name == "paste_lookup") {
     s.mode = core::EnforcementMode::kBlock;
     s.books.books = 54;  // ~0.5M distinct paragraph hashes
@@ -127,6 +132,8 @@ std::optional<WorkloadSpec> specFor(const std::string& name, bool smoke) {
     s.cycle = {kDocsPaste, kWiki, kNotes, kDocsPaste, kType, kWiki, kNotes,
                kDocsPaste, kWiki, kNotes, kDocsPaste, kDocsPaste, kScan};
     s.warmupCycles = 40;
+    s.blockCycles = 2;  // typing alternates W1 and W2
+    s.cyclesPerSecond = 10;
   } else if (name == "durable_ingest") {
     s.mode = core::EnforcementMode::kBlock;
     s.durable = true;
@@ -136,6 +143,8 @@ std::optional<WorkloadSpec> specFor(const std::string& name, bool smoke) {
                kNotes, kDocsPaste, kType, kScan, kWiki, kNotes, kDocsPaste,
                kDocsPaste, kDocsPaste};
     s.warmupCycles = 40;
+    s.blockCycles = 2;  // typing alternates W1 and W2
+    s.cyclesPerSecond = 4.8;
   } else {
     return std::nullopt;
   }
@@ -144,6 +153,8 @@ std::optional<WorkloadSpec> specFor(const std::string& name, bool smoke) {
     s.books.minParagraphsPerBook = 20;
     s.books.maxParagraphsPerBook = 30;
     for (auto& n : s.docLengths) n = std::min<std::size_t>(n, 6);
+    s.blockCycles = 1;
+    s.cyclesPerSecond = 2;  // a two-cycle window at --seconds 1
   }
   return s;
 }
@@ -204,17 +215,18 @@ std::string kernelTier() {
   return text::simd::kernelTierName(static_cast<text::simd::KernelTier>(tier));
 }
 
+/// The benchmark package always builds without lock-rank checks and
+/// without LTO (CMakeLists.txt); the stamp records both.
 void printProvenance(const Options& o) {
   std::printf(
       "provenance {\"workload\": \"%s\", \"seed\": %llu, \"seconds\": %g, "
       "\"trace\": %d, \"scale\": \"%s\", \"plant\": \"%s\", \"git_sha\": "
       "\"%s\", \"source_sha256\": \"%s\", \"build_type\": \"%s\", "
-      "\"lock_rank_checks\": %s, \"lto\": %s, \"kernel_tier\": \"%s\", "
+      "\"lock_rank_checks\": false, \"lto\": false, \"kernel_tier\": \"%s\", "
       "\"cpu_model\": \"%s\", \"nproc\": %d}\n",
       o.workload.c_str(), static_cast<unsigned long long>(o.seed), o.seconds,
       o.trace ? 1 : 0, o.smoke ? "smoke" : "full", o.plantName.c_str(),
       o.gitSha.c_str(), o.sourceDigest.c_str(), BF_E2E_BUILD_TYPE,
-      BF_E2E_RANK_CHECKS ? "true" : "false", BF_E2E_LTO ? "true" : "false",
       kernelTier().c_str(), util::escapeJsonString(cpuModel()).c_str(),
       onlineCpus());
 }
@@ -466,24 +478,28 @@ class Runner {
         defaultSampleEvery_(obs::traceSampleEvery()),
         series_(Series::resolve()) {}
 
-  /// The measured window: tasks for `seconds`. In the traced run it
-  /// alternates traced and untraced blocks so both see the same state.
-  void runWindow(double seconds) {
+  /// The measured window: a fixed number of whole task cycles, so every
+  /// program version does the same work against the same tracker state.
+  /// `capSeconds` only stops a run far slower than the reference. The
+  /// traced run alternates traced and untraced cycles so both halves see
+  /// the same mix and any drift in host speed alike. Returns the cycles
+  /// run.
+  std::size_t runWindow(std::size_t cycles, double capSeconds) {
     recording_ = true;
     if (w_.after) w_.after->arm();
-    const std::uint64_t blockNs = std::min<std::uint64_t>(
-        250'000'000, static_cast<std::uint64_t>(seconds * 1e9 / 16));
-    const std::uint64_t end = nowNs() + static_cast<std::uint64_t>(seconds * 1e9);
-    std::uint64_t nextToggle = 0;
-    while (nowNs() < end) {
-      if (o_.trace && nowNs() >= nextToggle) {
-        setTraced(!traced_);
-        nextToggle = nowNs() + blockNs;
-      }
-      runTask();
+    const std::uint64_t end = nowNs() + static_cast<std::uint64_t>(capSeconds * 1e9);
+    std::size_t done = 0;
+    for (; done < cycles && nowNs() < end; ++done) {
+      // With an even block length, plain alternation would trace the same
+      // block positions every time; flipping the phase per block evens
+      // them out (an odd block length flips it by itself).
+      const std::size_t flip = spec_.blockCycles % 2 == 0 ? done / spec_.blockCycles : 0;
+      if (o_.trace) setTraced((done + flip) % 2 == 0);
+      runCycles(1);
     }
     setTraced(false);
     recording_ = false;
+    return done;
   }
 
   /// Warm-up: `cycles` whole task cycles, unmeasured (checks still run).
@@ -503,7 +519,7 @@ class Runner {
   }
 
   // Results.
-  /// Window action latencies, untraced and traced blocks apart.
+  /// Window action latencies, untraced and traced cycles apart.
   std::vector<double> latencyUs[kClasses];
   std::vector<double> tracedLatencyUs[kClasses];
   double busyNs[2] = {};          ///< time inside actions, [traced]
@@ -664,7 +680,8 @@ class Runner {
     return books[rng_.uniform(0, books.size() - 1)];
   }
 
-  /// 40% verbatim leaks, 25% lightly revised leaks, 35% fresh text.
+  /// 40% verbatim leaks, 25% lightly revised leaks, 35% fresh text (an
+  /// assumed mix, see README.md).
   Excerpt makeExcerpt(std::size_t maxParagraphs) {
     Excerpt e;
     const double r = rng_.uniform01();
@@ -797,12 +814,13 @@ class Runner {
   void taskType() {
     DocsTab& tab = currentDoc();
     if (!spec_.keepPastes) {
-      // Block-mode workloads: a fresh note of about two sentences, typed
-    // then deleted.
-      std::string caption = gen_.sentence(24, 40);
-      caption.resize(std::min<std::size_t>(caption.size(), rng_.uniform(150, 250)));
-      const bool blocked = typeParagraph(tab, caption);
-      unit(false, blocked);
+      // Block-mode workloads: W1 and W2 in turn, each paragraph deleted
+      // again. Once a W1 paragraph discloses, every further keystroke is
+      // blocked, so the keystroke p90 falls among disclosing keystrokes
+      // here too.
+      const Excerpt e = typed_++ % 2 == 0 ? makeVerbatimParagraph() : freshParagraph();
+      const bool blocked = typeParagraph(tab, e.paragraphs[0]);
+      unit(e.leak, blocked);
       removeParagraph(tab, tab.client->paragraphCount() - 1);
       return;
     }
@@ -814,14 +832,18 @@ class Runner {
     constexpr int kShapes[] = {1, 2, 3, 2};
     const int shape = kShapes[(typed_++ / w_.docs.size()) % 4];
     if (shape == 3) return typeRevisionBack(tab);
-    Excerpt e = shape == 1 ? makeVerbatimParagraph() : Excerpt{};
-    if (shape == 2) {
-      e.paragraphs.push_back(gen_.paragraph(kTypedSentences, kTypedSentences));
-      auditLabels(e);
-    }
+    const Excerpt e = shape == 1 ? makeVerbatimParagraph() : freshParagraph();
     typeParagraph(tab, e.paragraphs[0]);
     unit(e.leak, violationShown(tab, tab.client->paragraphCount() - 1));
     remember(e.paragraphs[0]);
+  }
+
+  /// W2: fresh text of kTypedSentences sentences.
+  Excerpt freshParagraph() {
+    Excerpt e;
+    e.paragraphs.push_back(gen_.paragraph(kTypedSentences, kTypedSentences));
+    auditLabels(e);
+    return e;
   }
 
   /// A tagged paragraph short enough to type (kTypedSentences sentences).
@@ -1219,6 +1241,10 @@ void printJson(bool correct, std::uint64_t attempted, std::uint64_t failed,
   std::printf("%s\n", out.c_str());
 }
 
+/// A window that has not finished its cycles after this many times
+/// --seconds stops there, so a much slower program still ends in time.
+constexpr double kWindowCapFactor = 3;
+
 int run(const Options& o) {
   const std::optional<WorkloadSpec> spec = specFor(o.workload, o.smoke);
   if (!spec) die("unknown workload " + o.workload);
@@ -1247,12 +1273,24 @@ int run(const Options& o) {
   const RecoveryResult rec = restartAndRecover(*w, o, probes, o.smoke ? 1 : 3, r);
   const double peakRssMb = static_cast<double>(peakRssKb()) / 1024.0;
 
+  const std::size_t unit = spec->blockCycles;
+  const std::size_t cycles =
+      unit * std::max<std::size_t>(1, static_cast<std::size_t>(std::llround(
+                                          o.seconds * spec->cyclesPerSecond /
+                                          static_cast<double>(unit))));
+  const std::size_t hashesBefore = w->plugin->tracker().storeSizes().paragraphHashes;
   const obs::MetricsSnapshot before = obs::registry().snapshot();
-  r.runWindow(o.seconds);
+  const std::uint64_t windowStart = nowNs();
+  const std::size_t ran = r.runWindow(cycles, kWindowCapFactor * o.seconds);
+  const double windowS = static_cast<double>(nowNs() - windowStart) / 1e9;
   const obs::MetricsSnapshot window = obs::registry().snapshot().diff(before);
   r.finalChecks();
 
   const flow::FlowTracker::StoreSizes sizes = w->plugin->tracker().storeSizes();
+  std::printf("window %zu of %zu task cycles in %.2f s%s; tracker %zu -> %zu "
+              "distinct hashes\n",
+              ran, cycles, windowS, ran < cycles ? " (stopped at the time cap)" : "",
+              hashesBefore, sizes.paragraphHashes);
   std::vector<double> decideBounds;
   if (const obs::MetricValue* d = window.find("bf_decision_latency_ms")) {
     decideBounds = d->histogram.bounds;
@@ -1276,18 +1314,31 @@ int run(const Options& o) {
 
   std::vector<Metric> metrics;
   if (!o.trace) {
-    std::printf("%-10s %8s %10s %10s %10s %12s %12s\n", "class", "samples", "p50_us",
-                "p90_us", "p95_us", "p99_us", "max_us");
+    // Share of the window's actions and of its time inside actions, per
+    // class: what the task cycle actually made each workload spend.
+    std::printf("%-10s %8s %8s %8s %10s %10s %10s %12s %12s\n", "class", "samples",
+                "actions", "time", "p50_us", "p90_us", "p95_us", "p99_us", "max_us");
     for (int c = 0; c < kClasses; ++c) {
       const auto& v = r.latencyUs[c];
-      std::printf("%-10s %8zu %10.1f %10.1f %10.1f %12s %12.1f\n", kClassNames[c],
-                  v.size(), median(v), quantile(v, 0.90), quantile(v, 0.95),
+      double us = 0;
+      for (double x : v) us += x;
+      std::printf("%-10s %8zu %7.1f%% %7.1f%% %10.1f %10.1f %10.1f %12s %12.1f\n",
+                  kClassNames[c], v.size(),
+                  100.0 * static_cast<double>(v.size()) /
+                      static_cast<double>(std::max<std::uint64_t>(1, r.actions[0])),
+                  100.0 * us * 1e3 / std::max(1.0, r.busyNs[0]), median(v),
+                  quantile(v, 0.90), quantile(v, 0.95),
                   p99Reportable(v.size()) ? std::to_string(quantile(v, 0.99)).c_str()
                                           : "n/a (<1000)",
                   v.empty() ? 0.0 : *std::max_element(v.begin(), v.end()));
     }
     auto p50 = [&](Cls c, const char* name) {
       if (!r.latencyUs[c].empty()) metrics.push_back({name, median(r.latencyUs[c]), "us"});
+    };
+    auto p90 = [&](Cls c, const char* name) {
+      if (r.latencyUs[c].size() >= 100) {
+        metrics.push_back({name, quantile(r.latencyUs[c], 0.90), "us"});
+      }
     };
     auto p99 = [&](Cls c, const char* name) {
       if (p99Reportable(r.latencyUs[c].size())) {
@@ -1297,10 +1348,13 @@ int run(const Options& o) {
     // keystroke and paste p99s are printed above but not reported: on a
     // shared host their seed-to-seed spread exceeds any usable bound.
     p50(kKeystroke, "keystroke_p50_us");
+    // Keystrokes into disclosing text (most of W1, all of W3) sit above
+    // the median; the p90 falls among them.
+    p90(kKeystroke, "keystroke_p90_us");
     p50(kPaste, "paste_p50_us");
     p99(kDelete, "delete_p99_us");
     p50(kScan, "page_scan_p50_us");
-    if (!o.smoke && metrics.size() < 4) {
+    if (!o.smoke && metrics.size() < 5) {
       r.fail("samples", "too few samples to report every latency metric");
     }
     metrics.push_back({"actions_per_s",
@@ -1354,7 +1408,7 @@ int run(const Options& o) {
     metrics.push_back({"flow.recovery_replayed_records",
                        static_cast<double>(rec.replayedRecords), "count"});
     metrics.push_back({"core.preload_observe_us", preloadObserveUs, "us"});
-    std::printf("per-layer table (traced blocks; per action of each class)\n");
+    std::printf("per-layer table (traced cycles; per action of each class)\n");
     for (const Metric& m : metrics) {
       std::printf("  %-48s %14.3f %s\n", m.name.c_str(), m.value, m.unit.c_str());
     }

@@ -155,7 +155,6 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--scale", choices=["full", "smoke"], default="full")
     ap.add_argument("--selftest", action="store_true",
                     help="smoke-size runs plus planted faults")
     args = ap.parse_args()
@@ -172,7 +171,7 @@ def main():
     combined = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for workload in workloads:
         code, _, res = run_bench(binary, workload, args.seed, args.seconds,
-                                  args.trace, scale=args.scale)
+                                  args.trace)
         if res is None:
             return code
         if len(workloads) == 1:

@@ -38,7 +38,7 @@ inline constexpr const char* kNotesOrigin = "https://notes.example.com";
 /// One step of the user's task cycle.
 enum class Task {
   kNextDoc,     ///< switch to the next Docs document (round robin)
-  kType,        ///< type a paragraph (docs_edit) or a short caption
+  kType,        ///< type a paragraph (a Fig. 12 shape)
   kDocsPaste,   ///< paste an excerpt into the current Docs document
   kDocsDelete,  ///< delete a random paragraph of the current document
   kWiki,        ///< save an excerpt through the Wiki form
@@ -64,6 +64,13 @@ struct WorkloadSpec {
   std::vector<Task> cycle;
   /// Unmeasured cycles before the restart measurement and the window.
   std::size_t warmupCycles = 1;
+  /// Cycles after which the task mix repeats; the window is a whole
+  /// number of such blocks. In --trace 1, traced and untraced cycles
+  /// alternate so that every block position is traced equally often.
+  std::size_t blockCycles = 1;
+  /// Window size: cycles per requested second, sized from runs on the
+  /// reference host (README.md) so a window there takes about --seconds.
+  double cyclesPerSecond = 1;
 };
 
 enum class TextKind { kVerbatim, kRevised, kFresh };
