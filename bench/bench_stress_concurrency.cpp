@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "core/decision_engine.h"
 #include "corpus/text_generator.h"
-#include "flow/sharded_tracker.h"
 #include "flow/wal.h"
 #include "obs/stage.h"
 #include "text/winnower.h"
@@ -116,7 +115,7 @@ void runMultiReaderSweep(bf::flow::FlowTracker& tracker,
 }
 
 /// Sharded-writer sweep: `writers` threads push observeDocument mutations
-/// into a ShardedFlowTracker at shard counts {1, 2, 4, 8}. Observations
+/// into a FlowTracker at shard counts {1, 2, 4, 8}. Observations
 /// touching distinct documents land on distinct writer mutexes once the
 /// shard count grows, so aggregate throughput should scale with cores
 /// (bench_gate.py asserts 8-shard >= 2x 1-shard on >= 8-core hosts; on
@@ -163,10 +162,10 @@ int runShardedWriterSweep() {
   double s1Qps = 0.0;
   int failures = 0;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    flow::ShardedTrackerConfig cfg;
+    flow::TrackerConfig cfg;
     cfg.shards = shards;
     util::LogicalClock clock;
-    flow::ShardedFlowTracker tracker(cfg, &clock);
+    flow::FlowTracker tracker(cfg, &clock);
 
     util::Stopwatch watch;
     std::vector<std::thread> threads;

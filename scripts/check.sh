@@ -57,11 +57,12 @@ for preset in $PRESETS; do
       "build/tests/recovery_fuzz_test" \
       --gtest_filter='RecoveryFuzzTest.SelfHealsAfterInjectedStorageFaultWindow'
     # Sharded recovery fuzz at a pinned seed, across the shard-count
-    # envelope: 1 (degenerate single-writer), 4 (default fan-out), 16
-    # (kMaxTrackerShards). Each trial crashes mid-workload, corrupts at
-    # most one shard directory, and demands every shard recover a
-    # byte-equal prefix of its own history — undamaged shards losing
-    # nothing (per-shard WAL isolation).
+    # envelope of FlowTracker (TrackerConfig::shards) under one
+    # DurabilityManager: 1 (the flat single-chain layout), 4, and 16
+    # (kMaxTrackerShards, one chain per shard-NN/ directory). Each trial
+    # crashes mid-workload, corrupts at most one shard's chain, and demands
+    # every shard recover a byte-equal prefix of its own history —
+    # undamaged shards losing nothing (per-shard WAL isolation).
     for shards in 1 4 16; do
       echo "==> [default] sharded recovery fuzz, fixed seed, shards=$shards"
       BF_SHARDED_FUZZ_SEED=20260810 BF_SHARDED_FUZZ_TRIALS=120 \

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "flow/tracker.h"
 
@@ -53,18 +52,9 @@ struct ResilienceConfig {
 struct BrowserFlowConfig {
   /// Fingerprinting and disclosure parameters. Defaults follow the paper's
   /// evaluation (S6.1): 32-bit hashes, 15-char n-grams, 30-char windows,
-  /// T_par = 0.5.
+  /// T_par = 0.5. `tracker.shards` splits the stores into independent
+  /// writer domains (DESIGN.md §16); answers do not depend on it.
   flow::TrackerConfig tracker;
-  /// Tracker shard count for deployments built on flow::ShardedFlowTracker
-  /// (1 = the classic single-writer tracker; clamped to
-  /// [1, util::kMaxTrackerShards]). Each shard owns an independent writer
-  /// mutex, store replica pair and WAL generation chain.
-  std::size_t trackerShards = 1;
-  /// Per-shard checkpoint cadence overrides for the sharded durability
-  /// manager (flow/sharded_wal.h): entry k replaces the base
-  /// checkpointEveryRecords for shard k; 0 / missing entries keep the base
-  /// cadence. Ignored by unsharded deployments.
-  std::vector<std::uint64_t> shardCheckpointEveryRecords;
   EnforcementMode mode = EnforcementMode::kWarn;
   /// Key material for EnforcementMode::kEncrypt.
   std::string orgSecret = "browserflow-org-secret";

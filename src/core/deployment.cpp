@@ -1,6 +1,8 @@
 #include "core/deployment.h"
 
+#include <algorithm>
 #include <fstream>
+#include <vector>
 
 #include "crypto/chacha20.h"
 #include "flow/snapshot.h"
@@ -32,8 +34,12 @@ crypto::Key256 deriveKey(std::string_view secret) {
 
 util::Status saveDeployment(BrowserFlowPlugin& plugin, const std::string& path,
                             std::string_view secret) {
+  // One tracker blob per shard (one blob at N = 1), then the policy.
   std::string payload;
-  util::putStr(payload, flow::exportState(plugin.tracker()));
+  const flow::FlowTracker& tracker = plugin.tracker();
+  for (std::size_t k = 0; k < tracker.shardCount(); ++k) {
+    util::putStr(payload, flow::exportState(tracker, k));
+  }
   util::putStr(payload, tdm::exportPolicy(plugin.policy()));
 
   std::string fileData;
@@ -93,15 +99,29 @@ util::Result<util::Timestamp> loadDeployment(BrowserFlowPlugin& plugin,
   }
 
   util::BinaryReader r(payload);
-  const std::string trackerBlob = r.str();
-  const std::string policyBlob = r.str();
-  if (!r.ok() || !r.atEnd()) return R::error("deployment payload corrupt");
+  std::vector<std::string> blobs;
+  while (r.ok() && !r.atEnd()) blobs.push_back(r.str());
+  if (!r.ok() || blobs.size() < 2) {
+    return R::error("deployment payload corrupt");
+  }
+  const std::string policyBlob = std::move(blobs.back());
+  blobs.pop_back();
+  flow::FlowTracker& tracker = plugin.tracker();
+  if (blobs.size() != tracker.shardCount()) {
+    return R::error("deployment holds " + std::to_string(blobs.size()) +
+                    " tracker shard(s), the plug-in has " +
+                    std::to_string(tracker.shardCount()));
+  }
 
-  const auto maxTs = flow::importState(plugin.tracker(), trackerBlob);
-  if (!maxTs.ok()) return maxTs;
+  util::Timestamp maxTs = 0;
+  for (std::size_t k = 0; k < blobs.size(); ++k) {
+    const auto info = flow::importStateEx(tracker, blobs[k], k);
+    if (!info.ok()) return R::error(info.errorMessage());
+    maxTs = std::max(maxTs, info.value().maxTimestamp);
+  }
   const auto st = tdm::importPolicy(plugin.policy(), policyBlob);
   if (!st.ok()) return R::error(st.errorMessage());
-  return maxTs.value();
+  return maxTs;
 }
 
 }  // namespace bf::core

@@ -331,9 +331,14 @@ void BrowserFlowPlugin::installXhrInterceptor(browser::Page& page) {
     }
     // Cumulative document-level check: the page's document segment (kept
     // fresh by the mutation path) may violate even when the single
-    // uploaded paragraph does not.
-    if (!anyViolation &&
-        policy_.labelOf(pagePtr->url()) != nullptr) {
+    // uploaded paragraph does not. The policy is read under the state lock:
+    // the async decision worker writes it.
+    bool documentTracked = false;
+    if (!anyViolation) {
+      const auto stateLock = engine_.lockState();
+      documentTracked = policy_.labelOf(pagePtr->url()) != nullptr;
+    }
+    if (documentTracked) {
       obs::StageBreakdown docStages;
       tdm::UploadDecision docCheck;
       {

@@ -69,6 +69,10 @@ class SegmentDb {
   /// Number of live segments.
   [[nodiscard]] std::size_t size() const noexcept { return byId_.size(); }
 
+  /// The id the next create() would assign: above every id this store has
+  /// ever held, removed ones included.
+  [[nodiscard]] SegmentId nextId() const noexcept { return nextId_; }
+
   /// Applies `fn` to every live segment.
   template <typename Fn>
   void forEach(Fn&& fn) const {

@@ -60,10 +60,11 @@ crypto::Key256 deriveMacKey(std::string_view secret) {
 /// Serialises the v3 state body (everything after the magic / sequence
 /// header): segment records carry their tenant, associations their
 /// lastSeen retention stamp.
-void appendStateBody(const FlowTracker& tracker, std::string& out) {
+void appendStateBody(const FlowTracker& tracker, std::size_t shard,
+                     std::string& out) {
   // Segments, ordered by id for determinism.
   std::vector<const SegmentRecord*> segments;
-  tracker.segmentDb().forEach(
+  tracker.segmentDb(shard).forEach(
       [&](const SegmentRecord& rec) { segments.push_back(&rec); });
   std::sort(segments.begin(), segments.end(),
             [](const SegmentRecord* a, const SegmentRecord* b) {
@@ -98,7 +99,7 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
       util::Timestamp lastSeen;
     };
     std::vector<Assoc> assocs;
-    tracker.hashDb(kind).forEachAssociation(
+    tracker.hashDb(kind, shard).forEachAssociation(
         [&](std::uint64_t hash, SegmentId segment, util::Timestamp ts,
             util::Timestamp lastSeen) {
           assocs.push_back({hash, segment, ts, lastSeen});
@@ -251,26 +252,32 @@ util::Status atomicWriteFile(io::Vfs& vfs, const std::string& path,
 
 }  // namespace
 
-std::string exportState(const FlowTracker& tracker) {
+std::string exportState(const FlowTracker& tracker, std::size_t shard) {
   std::string out;
   out.append(kPlainMagicV3);
-  appendStateBody(tracker, out);
+  appendStateBody(tracker, shard, out);
   return out;
 }
 
-std::string exportStateV2(const FlowTracker& tracker, std::uint64_t sequence) {
+std::string exportStateV2(const FlowTracker& tracker, std::uint64_t sequence,
+                          std::size_t shard) {
   std::string out;
   out.append(kSeqMagicV3);
   util::putU64(out, sequence);
-  appendStateBody(tracker, out);
+  appendStateBody(tracker, shard, out);
   util::putU32(out, util::maskCrc32c(util::crc32c(out)));
   return out;
 }
 
 util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
-                                         std::string_view blob) {
+                                         std::string_view blob,
+                                         std::size_t shard) {
   using R = util::Result<SnapshotInfo>;
-  if (tracker.segmentDb().size() != 0) {
+  if (shard >= tracker.shardCount()) {
+    return R::error("snapshot shard " + std::to_string(shard) +
+                    " out of range");
+  }
+  if (tracker.segmentDb(shard).size() != 0) {
     return R::error("importState requires an empty tracker");
   }
 
@@ -322,11 +329,13 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
 
   // Validated end to end — now apply.
   for (SegmentRecord& rec : staged.segments) {
-    tracker.restoreSegment(std::move(rec));
+    tracker.restoreSegment(std::move(rec), shard);
   }
   for (const StagedState::Assoc& a : staged.assocs) {
-    tracker.restoreAssociation(a.kind, a.hash, a.segment, a.ts, a.lastSeen);
+    tracker.restoreAssociation(a.kind, a.hash, a.segment, a.ts, a.lastSeen,
+                               shard);
   }
+  tracker.rebuildIndex();
   return info;
 }
 
@@ -340,8 +349,8 @@ util::Result<util::Timestamp> importState(FlowTracker& tracker,
 
 util::Status saveSnapshot(const FlowTracker& tracker, const std::string& path,
                           std::string_view secret, std::uint64_t sequence,
-                          io::Vfs* vfs) {
-  std::string blob = exportStateV2(tracker, sequence);
+                          io::Vfs* vfs, std::size_t shard) {
+  std::string blob = exportStateV2(tracker, sequence, shard);
   std::string fileData;
   if (secret.empty()) {
     fileData = std::move(blob);
@@ -378,7 +387,7 @@ util::Status saveSnapshot(const FlowTracker& tracker, const std::string& path,
 util::Result<SnapshotInfo> loadSnapshotEx(FlowTracker& tracker,
                                           const std::string& path,
                                           std::string_view secret,
-                                          io::Vfs* vfs) {
+                                          io::Vfs* vfs, std::size_t shard) {
   using R = util::Result<SnapshotInfo>;
   util::Result<std::string> read =
       (vfs != nullptr ? *vfs : io::defaultVfs()).readFile(path);
@@ -409,7 +418,7 @@ util::Result<SnapshotInfo> loadSnapshotEx(FlowTracker& tracker,
         std::string_view(fileData).substr(header + 12,
                                           tagOffset - header - 12),
         deriveKey(secret), nonce);
-    return importStateEx(tracker, blob);
+    return importStateEx(tracker, blob, shard);
   }
 
   if (fileData.substr(0, kEncMagic.size()) == kEncMagic) {
@@ -424,10 +433,10 @@ util::Result<SnapshotInfo> loadSnapshotEx(FlowTracker& tracker,
     const std::string blob = crypto::chacha20Xor(
         std::string_view(fileData).substr(header + 12), deriveKey(secret),
         nonce);
-    return importStateEx(tracker, blob);
+    return importStateEx(tracker, blob, shard);
   }
 
-  return importStateEx(tracker, fileData);
+  return importStateEx(tracker, fileData, shard);
 }
 
 util::Result<util::Timestamp> loadSnapshot(FlowTracker& tracker,

@@ -38,6 +38,11 @@
 // Every import validates untrusted bytes before they become live records:
 // unknown SegmentKind values and non-finite / out-of-range thresholds
 // reject the whole blob (all-or-nothing, tracker left empty).
+//
+// A blob holds ONE shard's stores (the whole tracker at N = 1): every
+// function takes the shard it reads or restores, 0 by default. A sharded
+// tracker persists as one blob per shard (DurabilityManager keeps one
+// checkpoint chain per shard).
 #pragma once
 
 #include <cstdint>
@@ -61,21 +66,25 @@ struct SnapshotInfo {
   std::uint64_t sequence = 0;
 };
 
-/// Serialises the tracker's full state as a v3 plain blob (the
-/// deterministic canonical form: equal states produce equal blobs —
-/// segments ordered by id, associations by hash within kind).
-[[nodiscard]] std::string exportState(const FlowTracker& tracker);
+/// Serialises one shard's state as a v3 plain blob (the deterministic
+/// canonical form: equal states produce equal blobs — segments ordered by
+/// id, associations by hash within kind).
+[[nodiscard]] std::string exportState(const FlowTracker& tracker,
+                                      std::size_t shard = 0);
 
 /// Serialises as a v3 sequenced blob: checkpoint `sequence` + body + CRC32C
 /// trailer. Deterministic like exportState().
 [[nodiscard]] std::string exportStateV2(const FlowTracker& tracker,
-                                        std::uint64_t sequence);
+                                        std::uint64_t sequence,
+                                        std::size_t shard = 0);
 
-/// Restores state exported by exportState()/exportStateV2() into `tracker`,
-/// which must be EMPTY (freshly constructed). Accepts v1, v2 and v3 blobs;
-/// sequenced blobs are rejected on CRC mismatch.
+/// Restores state exported by exportState()/exportStateV2() into shard
+/// `shard` of `tracker`, which must be EMPTY (freshly constructed), then
+/// rebuilds the tracker's index. Accepts v1, v2 and v3 blobs; sequenced
+/// blobs are rejected on CRC mismatch.
 [[nodiscard]] util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
-                                                       std::string_view blob);
+                                                       std::string_view blob,
+                                                       std::size_t shard = 0);
 
 /// importStateEx() returning only the timestamp (compatibility shim).
 [[nodiscard]] util::Result<util::Timestamp> importState(FlowTracker& tracker,
@@ -91,7 +100,8 @@ struct SnapshotInfo {
                                         const std::string& path,
                                         std::string_view secret,
                                         std::uint64_t sequence = 0,
-                                        io::Vfs* vfs = nullptr);
+                                        io::Vfs* vfs = nullptr,
+                                        std::size_t shard = 0);
 
 /// Loads a snapshot written by saveSnapshot() — any format version — into
 /// an empty tracker. Encrypted v2 files are authenticated before parsing:
@@ -99,7 +109,7 @@ struct SnapshotInfo {
 /// the read (null = defaultVfs()).
 [[nodiscard]] util::Result<SnapshotInfo> loadSnapshotEx(
     FlowTracker& tracker, const std::string& path, std::string_view secret,
-    io::Vfs* vfs = nullptr);
+    io::Vfs* vfs = nullptr, std::size_t shard = 0);
 
 /// loadSnapshotEx() returning only the timestamp (compatibility shim).
 [[nodiscard]] util::Result<util::Timestamp> loadSnapshot(

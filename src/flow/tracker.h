@@ -11,11 +11,31 @@
 //    the previous disclosure answer is served from a per-segment cache;
 //  - candidate sources are discovered only through shared hashes, so cost
 //    is linear in the number of segments sharing at least one hash.
+//
+// Shards and tenants (DESIGN.md §16). The stores may be split into
+// TrackerConfig::shards hash-space shards: shard k holds the grams whose
+// hash routes to it (high half of mix64(hash), mod N) plus a metadata
+// record of every segment, behind its own writer mutex, replica pair and
+// WAL chain, so observations of distinct documents write in parallel. A hash value
+// lives in exactly one shard, so per-shard authoritative overlaps sum to
+// the global overlap and |F(source)| is the sum of the per-shard sizes:
+// queries apply thresholds and Algorithm 1's early discard to those
+// totals, which makes every answer identical for every shard count. At
+// N = 1 the scoring path IS Algorithm 1 over one DBhash/DBpar pair.
+//
+// A TenantId (flow/ids.h) scopes every observation and query: tenant
+// t != 0 salts its gram hashes (mix64(hash ^ salt(t))) and prefixes its
+// segment names, queries drop other tenants' records, and per-tenant
+// quotas evict a tenant's oldest segments first. Tenant 0 is unsalted and
+// unprefixed.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -51,6 +71,10 @@ struct TrackerConfig {
   bool useAuthoritative = true;
   /// Reuse the previous answer when a segment's fingerprint is unchanged.
   bool enableCache = true;
+  /// Hash-space shards, clamped to [1, util::kMaxTrackerShards]. Each
+  /// shard has its own writer mutex, store replicas and WAL chain; answers
+  /// do not depend on the count.
+  std::size_t shards = 1;
 };
 
 /// One disclosing source found by a query.
@@ -82,18 +106,44 @@ struct TrackerStats {
   std::uint64_t fingerprintsComputed = 0;
 };
 
+/// Per-tenant policy: threshold defaults and storage quotas. All zeros /
+/// nullopt = unlimited, tracker-config defaults.
+struct TenantConfig {
+  /// Default T_par / T_doc for this tenant's segments (nullopt = the
+  /// tracker config's defaults).
+  std::optional<double> paragraphThreshold;
+  std::optional<double> documentThreshold;
+  /// Maximum live segments for this tenant; 0 = unlimited. Exceeding it
+  /// evicts the tenant's OLDEST segments (creation order) first.
+  std::size_t maxSegments = 0;
+  /// Approximate fingerprint-byte budget (kBytesPerHash per stored hash);
+  /// 0 = unlimited. Same oldest-first eviction.
+  std::uint64_t maxFingerprintBytes = 0;
+};
+
+/// Point-in-time accounting for one tenant.
+struct TenantUsage {
+  std::size_t segments = 0;
+  std::uint64_t fingerprintHashes = 0;
+  std::uint64_t fingerprintBytes = 0;  ///< hashes * kBytesPerHash
+  std::uint64_t evictedSegments = 0;   ///< quota evictions so far
+};
+
 /// Thread safety — left-right replication (util/left_right.h, DESIGN.md
-/// §15). The stores live in TWO complete replicas (stores_[2]); a
+/// §15). Each shard's stores live in TWO complete replicas; a
 /// LeftRightControl arbitrates which replica readers see. Queries
 /// (disclosedSources, checkText, pairwiseDisclosure, attributeDisclosure,
 /// findSegmentWithFingerprint, and sourcesForSegment's
 /// unchanged-fingerprint fast path) take NO mutex at all: they register on
-/// a striped read indicator (wait-free, never retried) and read the
-/// quiescent active replica with plain loads. Mutations serialise on one
-/// writer mutex (util::Mutex, rank util::kRankTracker) and apply every
-/// change twice — first to the replica no reader can see, then, after the
-/// flip-and-drain step, to the other — so readers never observe a store
-/// mid-mutation and never block behind a writer.
+/// each shard's striped read indicator (wait-free, never retried) and read
+/// the quiescent active replicas with plain loads. Mutations serialise per
+/// shard on that shard's writer mutex (util::Mutex, rank
+/// util::kRankTracker + k) and apply every change twice — first to the
+/// replica no reader can see, then, after the flip-and-drain step, to the
+/// other — so readers never observe a store mid-mutation and never block
+/// behind a writer. A mutation visits the shards one at a time, under the
+/// document's stripe mutex, so two mutations of one document reach every
+/// shard in the same order.
 ///
 /// Accessors that hand out pointers or references into the stores
 /// (segment, segmentByName — hashDb, segmentDb) are only stable while no
@@ -104,38 +154,39 @@ struct TrackerStats {
 /// store updates, not on hashing.
 class FlowTracker {
  public:
-  /// `clock` provides observation timestamps; not owned, must outlive the
-  /// tracker. The clock is only invoked under the tracker's writer mutex
-  /// (through the replay tape), so a non-thread-safe LogicalClock is fine
-  /// even with concurrent observers.
-  FlowTracker(TrackerConfig config, util::Clock* clock);
+  /// Estimated storage cost of one fingerprint hash (8-byte hash value
+  /// plus amortised gram-position bookkeeping), used by the byte quota.
+  static constexpr std::uint64_t kBytesPerHash = 12;
 
-  /// Shard constructor (flow/sharded_tracker.h): same tracker, but the
-  /// writer mutex takes an explicit lock rank so shard i can use
-  /// util::kRankTracker + i — rank-distinct per shard, keeping the lock
-  /// hierarchy honest even though shard mutexes are never nested.
-  /// `lockName` must outlive the tracker (pass a string literal).
-  FlowTracker(TrackerConfig config, util::Clock* clock, int lockRank,
-              const char* lockName);
+  /// `clock` provides observation timestamps; not owned, must outlive the
+  /// tracker. The clock is only invoked under a shard's writer mutex
+  /// (through the replay tape); shards may draw concurrently, so it must
+  /// be thread-safe (LogicalClock and WallClock are).
+  FlowTracker(TrackerConfig config, util::Clock* clock);
+  ~FlowTracker();
+
+  FlowTracker(const FlowTracker&) = delete;
+  FlowTracker& operator=(const FlowTracker&) = delete;
 
   // ---- Observation (feeding the tracker) ----------------------------------
 
-  /// Creates or updates a segment identified by its unique `name` with the
-  /// given text. Fingerprints the text, records new hashes in DBhash, and
-  /// stores the fingerprint in DBpar. Returns the segment id.
-  /// `text` is raw document content: it enters as sec::SensitiveView and
-  /// only its fingerprint (a declassification gate) is ever stored.
+  /// Creates or updates a segment identified by its unique `name` (within
+  /// `tenant`) with the given text. Fingerprints the text, records new
+  /// hashes in DBhash, and stores the fingerprint in DBpar. Returns the
+  /// segment id. `text` is raw document content: it enters as
+  /// sec::SensitiveView and only its fingerprint (a declassification gate)
+  /// is ever stored.
   SegmentId observeSegment(SegmentKind kind, std::string_view name,
                            std::string_view document,
                            std::string_view service, sec::SensitiveView text,
-                           std::optional<double> threshold = std::nullopt)
-      BF_EXCLUDES(mutex_);
+                           std::optional<double> threshold = std::nullopt,
+                           TenantId tenant = kDefaultTenant);
 
   /// Observes a whole document: one document-kind segment named `docName`
   /// plus one paragraph-kind segment "docName#p<i>" per paragraph.
-  /// Batched: all fingerprints are computed outside the lock (in parallel
-  /// for large documents), then applied under ONE writer section with a
-  /// single gauge refresh — the lock is taken once, not N+1 times.
+  /// Batched: all fingerprints are computed outside the locks (in parallel
+  /// for large documents), then applied under ONE writer section per shard
+  /// with a single gauge refresh.
   struct DocumentObservation {
     SegmentId document = kInvalidSegment;
     std::vector<SegmentId> paragraphs;
@@ -144,74 +195,48 @@ class FlowTracker {
       std::string_view docName, std::string_view service,
       sec::SensitiveView fullText,
       std::optional<double> paragraphThreshold = std::nullopt,
-      std::optional<double> documentThreshold = std::nullopt)
-      BF_EXCLUDES(mutex_);
-
-  /// One pre-routed observation applied by a sharded facade
-  /// (flow/sharded_tracker.h): the segment id was assigned by the facade
-  /// (the same id is fanned out to every shard, so SegmentIds stay in
-  /// lockstep across shards) and `fingerprint` holds only the grams whose
-  /// hashes route to this shard. Create-or-update semantics mirror
-  /// observeSegment: on create the threshold is
-  /// overrideThreshold.value_or(createThreshold); on update only an
-  /// explicit overrideThreshold changes it.
-  struct RoutedObserve {
-    SegmentId id = kInvalidSegment;
-    SegmentKind kind = SegmentKind::kParagraph;
-    std::string_view name;
-    std::string_view document;
-    std::string_view service;
-    const text::Fingerprint* fingerprint = nullptr;
-    double createThreshold = 0.5;
-    std::optional<double> overrideThreshold;
-    TenantId tenant = kDefaultTenant;
-  };
-
-  /// Applies a batch of pre-routed observations under ONE writer section
-  /// (this shard's mutex only — never another shard's). Used by
-  /// ShardedFlowTracker::observeDocument to apply a document's per-shard
-  /// bucket with a single lock acquisition.
-  void observeRoutedBatch(const std::vector<RoutedObserve>& ops)
-      BF_EXCLUDES(mutex_);
+      std::optional<double> documentThreshold = std::nullopt,
+      TenantId tenant = kDefaultTenant);
 
   /// Removes a segment (and its hash associations, lazily).
-  void removeSegmentByName(std::string_view name) BF_EXCLUDES(mutex_);
-  void removeSegment(SegmentId id) BF_EXCLUDES(mutex_);
+  void removeSegmentByName(std::string_view name,
+                           TenantId tenant = kDefaultTenant);
+  void removeSegment(SegmentId id);
 
   /// Updates a segment's disclosure threshold (paper S4.2: authors adjust
   /// T_par/T_doc "according to their requirements and the confidentiality
   /// of the text"). Invalidates cached decisions, since thresholds change
   /// which sources report. Returns false for unknown names.
-  bool setSegmentThreshold(std::string_view name, double threshold)
-      BF_EXCLUDES(mutex_);
+  bool setSegmentThreshold(std::string_view name, double threshold,
+                           TenantId tenant = kDefaultTenant);
 
   // ---- Queries (Algorithm 1) ----------------------------------------------
+  // Hits report names and documents in the caller's (tenant's) namespace.
 
-  /// Disclosing sources of kind `sourceKind` for an arbitrary fingerprint.
-  /// `self` / `selfDocument` exclude the queried segment (Algorithm 1's
-  /// "if p = P then continue") and, if configured, its document.
-  /// Lock-free: reads the active replica under a left-right read guard.
+  /// Disclosing sources of kind `sourceKind` (within `tenant`) for an
+  /// arbitrary unsalted fingerprint. `self` / `selfDocument` exclude the
+  /// queried segment (Algorithm 1's "if p = P then continue") and, if
+  /// configured, its document. Lock-free.
   [[nodiscard]] std::vector<DisclosureHit> disclosedSources(
       const text::Fingerprint& target, SegmentKind sourceKind,
-      SegmentId self = kInvalidSegment,
-      std::string_view selfDocument = {}) const;
+      SegmentId self = kInvalidSegment, std::string_view selfDocument = {},
+      TenantId tenant = kDefaultTenant) const;
 
   /// Fingerprints `text` and queries paragraph-kind sources without
   /// registering anything — the "would uploading this leak?" path.
   /// Lock-free, like disclosedSources.
   [[nodiscard]] std::vector<DisclosureHit> checkText(
-      sec::SensitiveView text, std::string_view excludeDocument = {}) const;
+      sec::SensitiveView text, std::string_view excludeDocument = {},
+      TenantId tenant = kDefaultTenant) const;
 
   /// Cached per-segment query: disclosing sources of the segment's current
-  /// fingerprint. Serves the cached answer when the fingerprint is
-  /// unchanged since the last call — that fast path is a lock-free
-  /// left-right read, so concurrent cached queries never serialise and
-  /// never wait for writers; only a cache miss takes the writer mutex to
-  /// recompute and install the answer in both replicas. Returns a copy of
-  /// the hits (the cache entry itself may be invalidated by a concurrent
-  /// observation the moment the guard is released).
-  [[nodiscard]] std::vector<DisclosureHit> sourcesForSegment(SegmentId id)
-      BF_EXCLUDES(mutex_);
+  /// fingerprint. Serves the cached answer when the fingerprint (and the
+  /// stores' removal generation) is unchanged since the last call — that
+  /// fast path is a lock-free left-right read, so concurrent cached
+  /// queries never serialise and never wait for writers; only a cache miss
+  /// takes shard 0's writer mutex to install the recomputed answer in both
+  /// replicas. Returns a copy of the hits.
+  [[nodiscard]] std::vector<DisclosureHit> sourcesForSegment(SegmentId id);
 
   /// Pairwise disclosure score D(source, target) between two registered
   /// segments (used by effectiveness benches). Lock-free read.
@@ -226,96 +251,54 @@ class FlowTracker {
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   attributeDisclosure(SegmentId source, const text::Fingerprint& target) const;
 
-  // ---- Partial (per-shard) queries -----------------------------------------
-  // Used by ShardedFlowTracker's fan-out/merge: each shard reports raw
-  // per-shard overlaps with NO threshold filtering and NO early discard
-  // (a shard only sees a partial fingerprint, so per-shard sizes cannot
-  // decide disclosure); the facade sums overlaps and total fingerprint
-  // sizes across shards and applies thresholds on the totals. All
-  // lock-free left-right reads.
-
-  /// Candidate sources of kind `sourceKind` sharing at least one hash with
-  /// `target` in THIS shard, with per-shard (authoritative) overlaps.
-  /// `hit.score` is left 0 and `hit.sourceFingerprintSize` holds only this
-  /// shard's partial size — both are resolved by the facade at merge time.
-  /// Hits are filtered to `tenant` (hard cross-tenant isolation: salted
-  /// hashes make cross-tenant collisions unlikely; this filter makes them
-  /// impossible).
-  [[nodiscard]] std::vector<DisclosureHit> partialHits(
-      const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
-      std::string_view selfDocument, TenantId tenant) const;
-
-  /// partialHits against this shard's stored partial fingerprint of
-  /// segment `id` (self-excluding, same-document-excluding, tenant taken
-  /// from the record). Empty if the segment is unknown in this shard.
-  [[nodiscard]] std::vector<DisclosureHit> partialHitsForSegment(
-      SegmentId id) const;
-
-  /// Size of this shard's stored partial fingerprint of `id` (0 if
-  /// unknown). Facades sum this across shards for |F(source)|.
-  [[nodiscard]] std::size_t segmentFingerprintSize(SegmentId id) const;
-
-  /// Per-shard {overlap, |F_shard(source)|} between two registered
-  /// segments, honouring useAuthoritative. {0, 0} if either is unknown.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> partialPairwise(
-      SegmentId source, SegmentId target) const;
-
-  /// Byte positions (ascending) of the source grams, stored in this shard,
-  /// that also appear in `target` (with the authority check when
-  /// configured). The facade merge-sorts positions from all shards and
-  /// coalesces them into ranges.
-  [[nodiscard]] std::vector<std::size_t> matchedGramPositions(
-      SegmentId source, const text::Fingerprint& target) const;
-
-  /// Copy of a segment record (nullopt if unknown). Unlike segment(), the
-  /// copy stays valid after the read guard drops, so sharded facades can
-  /// consult metadata without holding anything.
-  [[nodiscard]] std::optional<SegmentRecord> segmentCopy(SegmentId id) const;
-
-  /// The registered segment of `document` whose fingerprint has exactly the
-  /// same hash set as `fp` (nullopt if none, or if fp is empty). Lets the
-  /// upload path recognise "this outgoing text IS that tracked paragraph"
-  /// and reuse its label — including user suppressions. Returns a COPY of
-  /// the record: a pointer into the store would dangle the moment a
-  /// concurrent observation re-applied to this replica. Lock-free read.
+  /// The registered segment of `document` (within `tenant`) whose
+  /// fingerprint has exactly the same hash set as `fp` (nullopt if none,
+  /// or if fp is empty). Lets the upload path recognise "this outgoing
+  /// text IS that tracked paragraph" and reuse its label — including user
+  /// suppressions. Returns a COPY of the segment's metadata (name in the
+  /// caller's namespace; fingerprint = `fp`): a pointer into the store
+  /// would dangle the moment a concurrent observation re-applied to this
+  /// replica. Lock-free read.
   [[nodiscard]] std::optional<SegmentRecord> findSegmentWithFingerprint(
       std::string_view document, const text::Fingerprint& fp,
-      SegmentKind kind = SegmentKind::kParagraph) const;
+      SegmentKind kind = SegmentKind::kParagraph,
+      TenantId tenant = kDefaultTenant) const;
+
+  // ---- Tenancy ---------------------------------------------------------------
+
+  void setTenantConfig(TenantId tenant, TenantConfig config);
+  [[nodiscard]] TenantUsage tenantUsage(TenantId tenant) const;
 
   // ---- Introspection -------------------------------------------------------
   // The pointer/reference accessors below escape all synchronisation by
   // design (snapshot export, tests, benches, the plug-in's lockState()
   // sections). They read the active replica and are safe only while no
   // concurrent mutation runs; the external-serialisation contract is
-  // documented in the class comment.
+  // documented in the class comment. Segment records come from shard 0,
+  // which holds every segment's metadata; at N > 1 their fingerprint is
+  // shard 0's part only.
 
-  [[nodiscard]] const SegmentRecord* segment(SegmentId id) const {
-    util::LeftRightReadGuard guard(lr_);
-    return readerStores(guard).segments.find(id);
+  [[nodiscard]] std::size_t shardCount() const noexcept {
+    return shards_.size();
   }
+  [[nodiscard]] const SegmentRecord* segment(SegmentId id) const;
   [[nodiscard]] const SegmentRecord* segmentByName(
-      std::string_view name) const {
-    util::LeftRightReadGuard guard(lr_);
-    return readerStores(guard).segments.findByName(name);
-  }
-  /// The hash store for one tracking granularity. Paragraphs and documents
-  /// are tracked independently (paper S4.1), so provenance ("oldest segment
-  /// with hash h") is kind-local: a document fingerprint never steals
-  /// authority from its own paragraphs.
+      std::string_view name) const;
+  /// The hash store of one shard for one tracking granularity. Paragraphs
+  /// and documents are tracked independently (paper S4.1), so provenance
+  /// ("oldest segment with hash h") is kind-local: a document fingerprint
+  /// never steals authority from its own paragraphs.
   [[nodiscard]] const HashDb& hashDb(
-      SegmentKind kind = SegmentKind::kParagraph) const noexcept {
-    return stores_[static_cast<std::size_t>(lr_.activeInstance())]
-        .hashes[static_cast<std::size_t>(kind)];
-  }
-  [[nodiscard]] const SegmentDb& segmentDb() const noexcept {
-    return stores_[static_cast<std::size_t>(lr_.activeInstance())].segments;
-  }
+      SegmentKind kind = SegmentKind::kParagraph,
+      std::size_t shard = 0) const noexcept;
+  [[nodiscard]] const SegmentDb& segmentDb(
+      std::size_t shard = 0) const noexcept;
   [[nodiscard]] const TrackerConfig& config() const noexcept {
     return config_;
   }
-  /// Store sizes read under a left-right guard — safe against concurrent
-  /// writers, unlike hashDb()/segmentDb(). The sharded facade polls this
-  /// for its per-shard bf_shard_* gauges.
+  /// Store sizes read under left-right guards — safe against concurrent
+  /// writers, unlike hashDb()/segmentDb(). Hash counts are summed over the
+  /// shards; `segments` counts each segment once.
   struct StoreSizes {
     std::size_t paragraphHashes = 0;
     std::size_t documentHashes = 0;
@@ -351,43 +334,59 @@ class FlowTracker {
     return text::fingerprintText(text.raw(), config_.fingerprint);
   }
 
-  // ---- Maintenance & snapshot support ---------------------------------------
+  // ---- Maintenance ---------------------------------------------------------
 
   /// Drops all hash associations first seen before `cutoff` (the paper's
   /// "periodic removal of old fingerprints", S4.4). Segments themselves
   /// stay; they regain associations when next observed. Returns the number
   /// of associations dropped.
-  std::size_t evictAssociationsOlderThan(util::Timestamp cutoff)
-      BF_EXCLUDES(mutex_);
+  std::size_t evictAssociationsOlderThan(util::Timestamp cutoff);
+
+  // ---- Durability (flow/wal.h) ----------------------------------------------
+
+  /// Attaches a write-ahead log to `shard`: every subsequent mutation of
+  /// that shard appends one record inside the same writer section that
+  /// applies it (on the FIRST of its two replica applications), so the
+  /// log order is exactly the shard's mutation order and each mutation is
+  /// logged exactly once. Pass nullptr to detach (recovery replays with the
+  /// WAL detached so replay is not re-logged). The log is not owned and
+  /// must outlive the attachment.
+  void attachWal(WriteAheadLog* wal, std::size_t shard = 0);
+
+  // ---- Persistence (flow/snapshot.h, flow/wal.h) ---------------------------
+  // Snapshot import and WAL replay restore each shard from its own
+  // checkpoint/WAL chain, so these primitives act on ONE shard and never
+  // fan out. Names are internal (tenant-prefixed) names, as logged. They
+  // leave the tenant index stale: call rebuildIndex() once the restore is
+  // complete (importStateEx and DurabilityManager::recoverAndAttach do).
 
   /// Restores a segment exported by flow::exportState(). The id and name
-  /// must be unused.
-  void restoreSegment(SegmentRecord record) BF_EXCLUDES(mutex_);
+  /// must be unused in `shard`.
+  void restoreSegment(SegmentRecord record, std::size_t shard = 0);
 
   /// Restores one hash association with its original first-seen and
   /// last-seen timestamps (lastSeen 0 means "same as firstSeen" — the
   /// legacy snapshot/WAL formats predate the retention stamp).
   void restoreAssociation(SegmentKind kind, std::uint64_t hash,
                           SegmentId segment, util::Timestamp firstSeen,
-                          util::Timestamp lastSeen = 0) BF_EXCLUDES(mutex_);
-
-  // ---- Durability (flow/wal.h) ----------------------------------------------
-
-  /// Attaches a write-ahead log: every subsequent mutation appends one
-  /// record inside the same writer section that applies it (on the FIRST
-  /// of its two replica applications), so the log order is exactly the
-  /// mutation order and each mutation is logged exactly once. Pass nullptr
-  /// to detach (the recovery path replays with the WAL detached so replay
-  /// is not re-logged). The log is not owned and must outlive the
-  /// attachment.
-  void attachWal(WriteAheadLog* wal) BF_EXCLUDES(mutex_);
+                          util::Timestamp lastSeen = 0,
+                          std::size_t shard = 0);
 
   /// Applies one WAL kSegmentObserved record: create-or-update the segment
   /// with the exact recorded ids, timestamps and fingerprint, recording the
   /// fingerprint's hash associations at the record's updatedAt (idempotent
   /// per (hash, segment), so re-observed hashes keep their original
   /// first-seen — the same outcome the live observation produced).
-  void replaySegmentObserved(SegmentRecord record) BF_EXCLUDES(mutex_);
+  void replaySegmentObserved(SegmentRecord record, std::size_t shard = 0);
+  /// WAL kSegmentRemoved / kThresholdChanged / kAssociationsEvicted.
+  void replaySegmentRemoved(SegmentId id, std::size_t shard);
+  void replayThresholdChanged(std::string_view name, double threshold,
+                              std::size_t shard);
+  void replayAssociationsEvicted(util::Timestamp cutoff, std::size_t shard);
+
+  /// Recomputes the name index, id counter and tenant accounting from the
+  /// stores. Mutations must be quiesced.
+  void rebuildIndex();
 
  private:
   struct CacheEntry {
@@ -397,11 +396,11 @@ class FlowTracker {
     bool valid = false;
   };
 
-  /// One complete replica of the tracker's mutable state. Left-right keeps
+  /// One complete replica of a shard's mutable state. Left-right keeps
   /// two of these; every mutation is applied to both (one at a time, with
   /// a reader drain in between), so either replica alone answers any
-  /// query. The decision cache is replicated too: a cache fill is a store
-  /// mutation like any other.
+  /// query. The decision cache (used in shard 0 only) is replicated too: a
+  /// cache fill is a store mutation like any other.
   struct Stores {
     HashDb hashes[2];  // indexed by SegmentKind
     SegmentDb segments;
@@ -434,85 +433,201 @@ class FlowTracker {
     std::size_t pos_ = 0;
   };
 
-  [[nodiscard]] static std::uint64_t digestOf(const text::Fingerprint& fp);
-  [[nodiscard]] DisclosureHit makeHit(const SegmentRecord& source,
-                                      double score, std::size_t overlap) const;
+  /// One writer domain: the grams whose hash routes here, plus a metadata
+  /// record of every segment.
+  struct Shard {
+    Shard(util::Clock* clock, int rank, const char* lockName)
+        : mutex(rank, lockName), tape(clock) {}
+    /// Writer-side mutex: serialises this shard's mutations (and the clock
+    /// tape and WAL they use). Readers never touch it.
+    util::Mutex mutex;
+    /// Left-right switch over `stores`.
+    util::LeftRightControl lr;
+    /// The two store replicas. NOT mutex-guarded by design: readers access
+    /// the active replica with no lock at all; writers touch replicas only
+    /// through mutateStores under `mutex`.
+    Stores stores[2];
+    ClockTape tape BF_GUARDED_BY(mutex);
+    /// Optional durability log; not owned.
+    WriteAheadLog* wal BF_GUARDED_BY(mutex) = nullptr;
+    /// Active-replica sizes published for the store gauges.
+    std::atomic<std::size_t> paragraphHashes{0};
+    std::atomic<std::size_t> documentHashes{0};
+    std::atomic<std::size_t> segments{0};
 
+    [[nodiscard]] const Stores& active() const noexcept {
+      return stores[static_cast<std::size_t>(lr.activeInstance())];
+    }
+  };
+
+  /// Left-right read registration on every shard at once: the view reads
+  /// each shard's quiescent active replica for its lifetime.
+  class ReadView {
+   public:
+    explicit ReadView(const FlowTracker& tracker) noexcept;
+    [[nodiscard]] const Stores& operator[](std::size_t k) const noexcept {
+      return tracker_.shards_[k]->stores[static_cast<std::size_t>(
+          guards_[k]->instance())];
+    }
+
+   private:
+    const FlowTracker& tracker_;
+    std::array<std::optional<util::LeftRightReadGuard>,
+               util::kMaxTrackerShards>
+        guards_;
+  };
+
+  /// A fingerprint as the shards see it: part(k) holds the grams whose
+  /// (tenant-salted) hash routes to shard k. At N = 1 and tenant 0 it is
+  /// the caller's fingerprint itself, uncopied, which must outlive it.
+  class Routed {
+   public:
+    Routed(const FlowTracker& tracker, const text::Fingerprint& fp,
+           TenantId tenant);
+    [[nodiscard]] const text::Fingerprint& part(std::size_t k) const noexcept {
+      return split_.empty() ? whole() : split_[k];
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return whole().size(); }
+
+   private:
+    [[nodiscard]] const text::Fingerprint& whole() const noexcept {
+      return salted_ ? *salted_ : *fp_;
+    }
+    const text::Fingerprint* fp_;
+    std::optional<text::Fingerprint> salted_;
+    std::vector<text::Fingerprint> split_;
+  };
+
+  /// Per-shard parts of a query target, and |F(target)|.
+  struct TargetParts {
+    std::array<const text::Fingerprint*, util::kMaxTrackerShards> part{};
+    std::size_t size = 0;
+  };
+
+  /// One observation of one segment, fingerprinted and routed, awaiting
+  /// its writer sections.
+  struct PendingObserve {
+    SegmentKind kind;
+    std::string name;  ///< internal name
+    Routed fingerprint;
+    std::optional<double> threshold;
+  };
+
+  /// Tenant-index bookkeeping for one live segment.
+  struct SegmentInfo {
+    std::string name;  ///< internal name
+    TenantId tenant = kDefaultTenant;
+    std::uint64_t hashes = 0;  ///< |F(segment)| across all shards
+  };
+  struct TenantState {
+    TenantConfig config;
+    std::set<SegmentId> live;  ///< ids are assigned in creation order
+    std::uint64_t totalHashes = 0;
+    std::uint64_t evicted = 0;
+  };
+
+  [[nodiscard]] static std::uint64_t digestOf(const text::Fingerprint& fp);
   [[nodiscard]] static constexpr std::size_t idx(SegmentKind kind) noexcept {
     return static_cast<std::size_t>(kind);
   }
-
-  /// The replica a left-right reader may touch.
-  [[nodiscard]] const Stores& readerStores(
-      const util::LeftRightReadGuard& guard) const noexcept {
-    return stores_[static_cast<std::size_t>(guard.instance())];
-  }
+  /// "t<tenant>\x1f<name>" for tenant != 0; `name` verbatim for tenant 0.
+  /// The unit separator cannot appear in caller names, so tenants never
+  /// collide with each other or with tenant-0 names.
+  [[nodiscard]] static std::string internalName(TenantId tenant,
+                                                std::string_view name);
+  [[nodiscard]] static std::string callerName(TenantId tenant,
+                                              std::string name);
+  [[nodiscard]] std::size_t shardOf(std::uint64_t hash) const noexcept;
 
   /// Writer protocol: applies `fn(Stores&, WriteAheadLog*)` to BOTH
-  /// replicas. The first application runs on the replica no reader is
-  /// directed at, with the attached WAL (so each mutation is logged exactly
-  /// once); then flipAndWait() publishes it and drains every reader from
-  /// the old replica; then the second application re-converges that replica
-  /// with a null WAL. tape_ replays the first application's clock draws
-  /// into the second, so the replicas stay identical. Returns the FIRST
-  /// application's result. Must run under mutex_ (single writer).
+  /// replicas of `sh`. The first application runs on the replica no reader
+  /// is directed at, with the attached WAL (so each mutation is logged
+  /// exactly once); then flipAndWait() publishes it and drains every reader
+  /// from the old replica; then the second application re-converges that
+  /// replica with a null WAL. The tape replays the first application's
+  /// clock draws into the second, so the replicas stay identical. Returns
+  /// the FIRST application's result.
   template <typename Fn>
-  auto mutateStores(Fn&& fn) BF_REQUIRES(mutex_) {
-    tape_.reset();
+  static auto mutateStores(Shard& sh, Fn&& fn) BF_REQUIRES(sh.mutex) {
+    sh.tape.reset();
     using R = std::invoke_result_t<Fn&, Stores&, WriteAheadLog*>;
     if constexpr (std::is_void_v<R>) {
-      fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())], wal_);
-      lr_.flipAndWait();
-      tape_.rewind();
-      fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())], nullptr);
+      fn(sh.stores[static_cast<std::size_t>(sh.lr.inactiveInstance())],
+         sh.wal);
+      sh.lr.flipAndWait();
+      sh.tape.rewind();
+      fn(sh.stores[static_cast<std::size_t>(sh.lr.inactiveInstance())],
+         nullptr);
     } else {
-      R out = fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())],
-                 wal_);
-      lr_.flipAndWait();
-      tape_.rewind();
-      fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())], nullptr);
+      R out = fn(sh.stores[static_cast<std::size_t>(sh.lr.inactiveInstance())],
+                 sh.wal);
+      sh.lr.flipAndWait();
+      sh.tape.rewind();
+      fn(sh.stores[static_cast<std::size_t>(sh.lr.inactiveInstance())],
+         nullptr);
       return out;
     }
   }
 
-  /// Registers `fp` (already computed, OUTSIDE the lock) for the segment in
-  /// replica `s`, logging to `wal` when non-null. Runs once per replica via
-  /// mutateStores; draws timestamps from tape_ so both runs agree. Does NOT
-  /// refresh the store gauges — callers batch mutations and refresh once
-  /// per writer section.
-  SegmentId observeSegmentIn(Stores& s, WriteAheadLog* wal, SegmentKind kind,
-                             std::string_view name, std::string_view document,
-                             std::string_view service,
-                             const text::Fingerprint& fp,
-                             std::optional<double> threshold)
-      BF_REQUIRES(mutex_);
+  /// Writes routed observations of one (internal) document: assigns ids,
+  /// applies every observation to every shard (one writer section per
+  /// shard), accounts and enforces the tenant's quota. Returns the ids in
+  /// `ops` order.
+  std::vector<SegmentId> writeObservations(std::vector<PendingObserve>& ops,
+                                           std::string_view document,
+                                           std::string_view service,
+                                           TenantId tenant);
+  /// Create-or-update of one segment in one replica of shard `sh`, with
+  /// `fp` = the segment's part for that shard. On create the threshold is
+  /// threshold.value_or(createThreshold); on update only an explicit
+  /// threshold changes it.
+  void observeIn(Shard& sh, Stores& s, WriteAheadLog* wal, SegmentId id,
+                 const PendingObserve& op, std::string_view document,
+                 std::string_view service, double createThreshold,
+                 TenantId tenant, const text::Fingerprint& fp)
+      BF_REQUIRES(sh.mutex);
+  /// Removes `id` from one shard (logged there).
+  void removeFromShard(std::size_t k, SegmentId id);
+  bool setThresholdInShard(std::size_t k, std::string_view name,
+                           double threshold);
+  std::size_t evictInShard(std::size_t k, util::Timestamp cutoff);
 
-  /// Routed create-or-update with a facade-assigned explicit id; mirrors
-  /// observeSegmentIn otherwise (WAL-once, cache invalidation, tape time).
-  void observeRoutedIn(Stores& s, WriteAheadLog* wal, const RoutedObserve& op)
-      BF_REQUIRES(mutex_);
-
-  void removeSegmentIn(Stores& s, WriteAheadLog* wal, SegmentId id)
-      BF_REQUIRES(mutex_);
-
-  /// Pure read of one replica: partial per-shard overlaps (no thresholds,
-  /// no early discard), tenant-filtered. See partialHits.
-  [[nodiscard]] std::vector<DisclosureHit> partialHitsIn(
-      const Stores& s, const text::Fingerprint& target,
-      SegmentKind sourceKind, SegmentId self, std::string_view selfDocument,
-      TenantId tenant) const;
-
-  /// Pure read of one replica: Algorithm 1 over `s`. Runs under a
-  /// left-right read guard (query paths) or the writer mutex
-  /// (sourcesForSegment's recompute) — either way the replica is quiescent.
+  /// Algorithm 1 over the shards of `view`: candidates through shared
+  /// hashes, |F(source)| and overlaps summed over shards, early discard and
+  /// thresholds on the totals. `selfDocument` is an internal name.
   [[nodiscard]] std::vector<DisclosureHit> disclosedSourcesIn(
-      const Stores& s, const text::Fingerprint& target,
-      SegmentKind sourceKind, SegmentId self,
-      std::string_view selfDocument) const;
+      const ReadView& view, const TargetParts& target, SegmentKind sourceKind,
+      SegmentId self, std::string_view selfDocument, TenantId tenant) const;
+  /// The stored parts of segment `id` (nullopt if shard 0 lacks it).
+  [[nodiscard]] std::optional<TargetParts> storedParts(const ReadView& view,
+                                                       SegmentId id) const;
+  /// What a cached answer for a segment depends on: its fingerprint (every
+  /// part) and the removal generation of its kind's hash stores.
+  struct CacheKey {
+    std::uint64_t digest = 0;
+    std::uint64_t removalGeneration = 0;
+  };
+  [[nodiscard]] std::optional<CacheKey> cacheKey(const ReadView& view,
+                                                 SegmentId id) const;
 
-  /// Pushes the active replica's DBhash/DBpar sizes into the registry
-  /// gauges. Writer-side (the active replica is stable under mutex_).
-  void refreshStoreGauges() const noexcept BF_REQUIRES(mutex_);
+  /// Publishes `sh`'s active-replica sizes and the summed store gauges.
+  void refreshStoreGauges(Shard& sh) const noexcept BF_REQUIRES(sh.mutex);
+
+  [[nodiscard]] util::Mutex& stripeFor(std::string_view document);
+  // Tenant index (indexMutex_).
+  [[nodiscard]] SegmentId idForLocked(const std::string& name)
+      BF_REQUIRES(indexMutex_);
+  [[nodiscard]] double defaultThresholdLocked(SegmentKind kind,
+                                              TenantId tenant) const
+      BF_REQUIRES(indexMutex_);
+  void accountLocked(SegmentId id, const std::string& name, TenantId tenant,
+                     std::uint64_t hashes) BF_REQUIRES(indexMutex_);
+  /// Pops oldest segments of `tenant` while it exceeds its quotas; never
+  /// evicts `protect` (the segment just observed). Erases their
+  /// accounting; the caller removes them from the shards.
+  [[nodiscard]] std::vector<SegmentId> collectQuotaVictimsLocked(
+      TenantId tenant, SegmentId protect) BF_REQUIRES(indexMutex_);
+  void eraseLocked(SegmentId id) BF_REQUIRES(indexMutex_);
 
   /// Live per-instance counters behind the TrackerStats view. Incremented
   /// with relaxed atomics from const query paths, which the async decision
@@ -526,25 +641,30 @@ class FlowTracker {
   };
 
   TrackerConfig config_;  // immutable after construction
-  /// Writer-side mutex: serialises mutations (and the clock tape and WAL
-  /// they use). Readers never touch it — the left-right protocol keeps
-  /// them out of the replica being mutated. Ranked below the engine's
-  /// stateMutex_ in the documented hierarchy, like the reader-writer lock
-  /// it replaced.
-  util::Mutex mutex_{util::kRankTracker, "FlowTracker.mutex_"};
-  /// Left-right switch over stores_ (which replica readers see, reader
-  /// presence indicators, writer flip-and-drain).
-  util::LeftRightControl lr_;
-  /// The two store replicas. NOT mutex-guarded by design: readers access
-  /// the active replica with no lock at all; the left-right protocol (not
-  /// the mutex) is what keeps reads race-free. Writers touch replicas only
-  /// through mutateStores under mutex_.
-  Stores stores_[2];
-  ClockTape tape_ BF_GUARDED_BY(mutex_);
-  /// Optional durability log; the first replica application of each
-  /// mutation appends to it while holding the writer mutex (flow/wal.h),
-  /// so log order is mutation order. Not owned.
-  WriteAheadLog* wal_ BF_GUARDED_BY(mutex_) = nullptr;
+  std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// Same-document serialisation across the shard visits of a mutation,
+  /// keyed by internal document name (rank kRankTrackerStripe, held across
+  /// the whole mutation, above the briefly-held index mutex).
+  static constexpr std::size_t kStripes = 16;
+  struct Stripe {
+    util::Mutex m{util::kRankTrackerStripe, "FlowTracker.stripe"};
+  };
+  Stripe stripes_[kStripes];
+
+  /// Name → id index, id counter and tenant accounting (rank
+  /// kRankTrackerIndex; held briefly, never across a shard's writer
+  /// section).
+  mutable util::Mutex indexMutex_{util::kRankTrackerIndex,
+                                  "FlowTracker.index"};
+  std::unordered_map<std::string, SegmentId> nameIndex_
+      BF_GUARDED_BY(indexMutex_);
+  std::unordered_map<SegmentId, SegmentInfo> segments_
+      BF_GUARDED_BY(indexMutex_);
+  std::unordered_map<TenantId, TenantState> tenants_
+      BF_GUARDED_BY(indexMutex_);
+  SegmentId nextId_ BF_GUARDED_BY(indexMutex_) = 1;
+
   mutable AtomicStats stats_;
 };
 

@@ -400,7 +400,7 @@ bool validKindByte(std::uint8_t k) noexcept {
 /// Applies one validated record payload (past sequence + type) to the
 /// tracker. Returns false when the body does not parse exactly or carries
 /// out-of-range values — the frame is then treated as corrupt.
-bool applyRecord(FlowTracker& tracker, WalRecordType type,
+bool applyRecord(FlowTracker& tracker, std::size_t shard, WalRecordType type,
                  std::string_view body, util::Timestamp& maxTs) {
   util::BinaryReader r(body);
   switch (type) {
@@ -432,7 +432,7 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       if (r.ok() && !r.atEnd()) rec.tenant = r.u64();
       if (!r.ok() || !r.atEnd()) return false;
       maxTs = std::max({maxTs, rec.createdAt, rec.updatedAt});
-      tracker.replaySegmentObserved(std::move(rec));
+      tracker.replaySegmentObserved(std::move(rec), shard);
       return true;
     }
     case WalRecordType::kAssociationAdded: {
@@ -448,13 +448,13 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       if (!r.ok() || !r.atEnd()) return false;
       maxTs = std::max({maxTs, ts, lastSeen});
       tracker.restoreAssociation(static_cast<SegmentKind>(kindByte), hash,
-                                 segment, ts, lastSeen);
+                                 segment, ts, lastSeen, shard);
       return true;
     }
     case WalRecordType::kSegmentRemoved: {
       const SegmentId id = r.u64();
       if (!r.ok() || !r.atEnd()) return false;
-      tracker.removeSegment(id);
+      tracker.replaySegmentRemoved(id, shard);
       return true;
     }
     case WalRecordType::kThresholdChanged: {
@@ -462,13 +462,13 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       const double threshold = r.f64();
       if (!r.ok() || !r.atEnd()) return false;
       if (!validThreshold(threshold)) return false;
-      (void)tracker.setSegmentThreshold(name, threshold);
+      tracker.replayThresholdChanged(name, threshold, shard);
       return true;
     }
     case WalRecordType::kAssociationsEvicted: {
       const util::Timestamp cutoff = r.u64();
       if (!r.ok() || !r.atEnd()) return false;
-      (void)tracker.evictAssociationsOlderThan(cutoff);
+      tracker.replayAssociationsEvicted(cutoff, shard);
       return true;
     }
   }
@@ -479,7 +479,7 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
 
 WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
                               std::uint64_t nextExpected, std::uint64_t cap,
-                              io::Vfs* vfs) {
+                              io::Vfs* vfs, std::size_t shard) {
   WalReplayResult out;
   out.lastSequence = nextExpected == 0 ? 0 : nextExpected - 1;
 
@@ -528,7 +528,8 @@ WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
       continue;
     }
     if (seq != next) break;  // sequence gap: the prefix ends here
-    if (!applyRecord(tracker, type, payload.substr(9), out.maxTimestamp)) {
+    if (!applyRecord(tracker, shard, type, payload.substr(9),
+                     out.maxTimestamp)) {
       break;  // unparseable body counts as corruption
     }
     ++out.applied;
@@ -542,6 +543,7 @@ WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
   }
   return out;
 }
+
 
 // ---- DurabilityManager ------------------------------------------------------
 
@@ -595,35 +597,67 @@ std::vector<std::uint64_t> listSeqFiles(io::Vfs& vfs, const std::string& dir,
   return out;
 }
 
-}  // namespace
-
-DurabilityManager::DurabilityManager(DurabilityConfig config)
-    : config_(std::move(config)), repairRng_(config_.repairSeed) {
-  util::RetryPolicy policy;
-  policy.baseDelayMs = config_.repairBaseDelayMs;
-  policy.maxDelayMs = config_.repairMaxDelayMs;
-  policy.deadlineMs = 0.0;  // repair retries indefinitely; no deadline
-  repairBackoff_ = util::Backoff(policy, &repairRng_);
+bool isChainFile(std::string_view name) {
+  return parseSeqName(name, "checkpoint-", ".bfc") ||
+         parseSeqName(name, "wal-", ".bfw");
 }
 
-DurabilityManager::~DurabilityManager() { wal_.close(); }
+/// The shard index of a "shard-NN" directory name.
+std::optional<std::size_t> parseShardDir(std::string_view name) {
+  constexpr std::string_view kPrefix = "shard-";
+  if (name.size() != kPrefix.size() + 2 || name.substr(0, 6) != kPrefix) {
+    return std::nullopt;
+  }
+  const char hi = name[6];
+  const char lo = name[7];
+  if (hi < '0' || hi > '9' || lo < '0' || lo > '9') return std::nullopt;
+  return static_cast<std::size_t>((hi - '0') * 10 + (lo - '0'));
+}
+
+}  // namespace
+
+DurabilityManager::Chain::Chain(const DurabilityConfig& config,
+                                std::uint64_t seed)
+    : directory(config.directory), repairRng(seed) {
+  util::RetryPolicy policy;
+  policy.baseDelayMs = config.repairBaseDelayMs;
+  policy.maxDelayMs = config.repairMaxDelayMs;
+  policy.deadlineMs = 0.0;  // repair retries indefinitely; no deadline
+  repairBackoff = util::Backoff(policy, &repairRng);
+}
+
+DurabilityManager::DurabilityManager(DurabilityConfig config)
+    : config_(std::move(config)) {
+  chains_.push_back(std::make_unique<Chain>(config_, config_.repairSeed));
+}
+
+DurabilityManager::~DurabilityManager() = default;
 
 io::Vfs& DurabilityManager::vfs() const noexcept {
   return config_.vfs != nullptr ? *config_.vfs : io::defaultVfs();
 }
 
-std::string DurabilityManager::checkpointPath(std::uint64_t seq) const {
-  return config_.directory + "/" + seqName("checkpoint-", seq, ".bfc");
+std::string DurabilityManager::shardDirectory(const std::string& root,
+                                              std::size_t shard) {
+  std::string suffix = std::to_string(shard);
+  if (suffix.size() < 2) suffix.insert(0, "0");
+  return root + "/shard-" + suffix;
 }
 
-std::string DurabilityManager::walPath(std::uint64_t seq) const {
-  return config_.directory + "/" + seqName("wal-", seq, ".bfw");
+std::string DurabilityManager::checkpointPath(const Chain& c,
+                                              std::uint64_t seq) {
+  return c.directory + "/" + seqName("checkpoint-", seq, ".bfc");
 }
 
-void DurabilityManager::pruneGenerations(std::uint64_t currentSeq) {
+std::string DurabilityManager::walPath(const Chain& c, std::uint64_t seq) {
+  return c.directory + "/" + seqName("wal-", seq, ".bfw");
+}
+
+void DurabilityManager::pruneGenerations(const Chain& c,
+                                         std::uint64_t currentSeq) {
   if (config_.keepGenerations == 0) return;  // keep everything
   const auto checkpoints =
-      listSeqFiles(vfs(), config_.directory, "checkpoint-", ".bfc");
+      listSeqFiles(vfs(), c.directory, "checkpoint-", ".bfc");
   // Keep the newest keepGenerations checkpoints; every WAL whose base
   // sequence is >= the oldest kept checkpoint is still needed to roll that
   // checkpoint forward (logs rotate AT checkpoints, so wal-<S> holds only
@@ -632,27 +666,29 @@ void DurabilityManager::pruneGenerations(std::uint64_t currentSeq) {
   const std::uint64_t oldestKept =
       checkpoints[checkpoints.size() - config_.keepGenerations];
   for (std::uint64_t seq : checkpoints) {
-    if (seq < oldestKept) (void)vfs().remove(checkpointPath(seq));
+    if (seq < oldestKept) (void)vfs().remove(checkpointPath(c, seq));
   }
-  for (std::uint64_t seq :
-       listSeqFiles(vfs(), config_.directory, "wal-", ".bfw")) {
+  for (std::uint64_t seq : listSeqFiles(vfs(), c.directory, "wal-", ".bfw")) {
     if (seq < oldestKept && seq != currentSeq) {
-      (void)vfs().remove(walPath(seq));
+      (void)vfs().remove(walPath(c, seq));
     }
   }
 }
 
-std::uint64_t DurabilityManager::measureStorageBytes() {
-  std::uint64_t total = 0;
-  for (const std::string& name : vfs().listDir(config_.directory)) {
-    total += vfs().fileSize(config_.directory + "/" + name);
+std::uint64_t DurabilityManager::measureStorageBytes(Chain& c) {
+  c.storageBytes = 0;
+  for (const std::string& name : vfs().listDir(c.directory)) {
+    c.storageBytes += vfs().fileSize(c.directory + "/" + name);
   }
+  std::uint64_t total = 0;
+  for (const auto& chain : chains_) total += chain->storageBytes;
   walMetrics().storageBytes->set(static_cast<double>(total));
-  return total;
+  return c.storageBytes;
 }
 
-void DurabilityManager::enforceStorageQuota(std::uint64_t currentSeq) {
-  const std::uint64_t total = measureStorageBytes();
+void DurabilityManager::enforceStorageQuota(Chain& c,
+                                            std::uint64_t currentSeq) {
+  const std::uint64_t total = measureStorageBytes(c);
   if (config_.maxStorageBytes == 0 || total <= config_.maxStorageBytes) {
     return;
   }
@@ -662,19 +698,54 @@ void DurabilityManager::enforceStorageQuota(std::uint64_t currentSeq) {
   // starts failing with ENOSPC, which costs durability entirely.
   walMetrics().pressurePrunes->inc();
   const auto checkpoints =
-      listSeqFiles(vfs(), config_.directory, "checkpoint-", ".bfc");
+      listSeqFiles(vfs(), c.directory, "checkpoint-", ".bfc");
   if (checkpoints.empty()) return;
   const std::uint64_t newest = checkpoints.back();
   for (std::uint64_t seq : checkpoints) {
-    if (seq < newest) (void)vfs().remove(checkpointPath(seq));
+    if (seq < newest) (void)vfs().remove(checkpointPath(c, seq));
   }
-  for (std::uint64_t seq :
-       listSeqFiles(vfs(), config_.directory, "wal-", ".bfw")) {
+  for (std::uint64_t seq : listSeqFiles(vfs(), c.directory, "wal-", ".bfw")) {
     if (seq < newest && seq != currentSeq) {
-      (void)vfs().remove(walPath(seq));
+      (void)vfs().remove(walPath(c, seq));
     }
   }
-  (void)measureStorageBytes();
+  (void)measureStorageBytes(c);
+}
+
+util::Status DurabilityManager::checkLayout(std::size_t shards) {
+  std::vector<std::size_t> shardDirs;
+  bool flatFiles = false;
+  for (const std::string& name : vfs().listDir(config_.directory)) {
+    if (const auto k = parseShardDir(name)) {
+      shardDirs.push_back(*k);
+    } else if (isChainFile(name)) {
+      flatFiles = true;
+    }
+  }
+  const auto mismatch = [&](const std::string& found) {
+    return util::Status::error("shard count mismatch: " + config_.directory +
+                               " holds " + found + ", the tracker has " +
+                               std::to_string(shards) + " shard(s)");
+  };
+  if (shards == 1) {
+    return shardDirs.empty() ? util::Status{}
+                             : mismatch("per-shard chains");
+  }
+  if (flatFiles) return mismatch("a single-shard chain");
+  bool anyFiles = false;
+  for (std::size_t k : shardDirs) {
+    if (k >= shards) return mismatch("a chain for shard " + std::to_string(k));
+    for (const std::string& name :
+         vfs().listDir(shardDirectory(config_.directory, k))) {
+      anyFiles = anyFiles || isChainFile(name);
+    }
+  }
+  // Every shard directory is created before any chain writes a file, so a
+  // populated layout with missing directories came from fewer shards.
+  if (anyFiles && shardDirs.size() < shards) {
+    return mismatch(std::to_string(shardDirs.size()) + " shard chains");
+  }
+  return {};
 }
 
 util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
@@ -685,27 +756,73 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
   m.recoveryRuns->inc();
 
   (void)vfs().mkdir(config_.directory);
+  const std::size_t shards = tracker.shardCount();
+  if (util::Status s = checkLayout(shards); !s.ok()) {
+    return R::error(s.errorMessage());
+  }
+  chains_.resize(std::min(chains_.size(), shards));
+  while (chains_.size() < shards) {
+    chains_.push_back(
+        std::make_unique<Chain>(config_, config_.repairSeed + chains_.size()));
+  }
+  if (shards > 1) {
+    for (std::size_t k = 0; k < shards; ++k) {
+      chains_[k]->directory = shardDirectory(config_.directory, k);
+      (void)vfs().mkdir(chains_[k]->directory);
+    }
+  }
 
+  RecoveryStats stats;
+  for (std::size_t k = 0; k < shards; ++k) {
+    util::Result<RecoveryStats> r = recoverChain(tracker, k);
+    if (!r.ok()) {
+      return R::error(shards == 1 ? r.errorMessage()
+                                  : "shard " + std::to_string(k) +
+                                        " recovery failed: " +
+                                        r.errorMessage());
+    }
+    const RecoveryStats& c = r.value();
+    stats.checkpointSequence += c.checkpointSequence;
+    stats.replayedRecords += c.replayedRecords;
+    stats.discardedBytes += c.discardedBytes;
+    stats.lastSequence += c.lastSequence;
+    stats.maxTimestamp = std::max(stats.maxTimestamp, c.maxTimestamp);
+    stats.usedFallbackCheckpoint =
+        stats.usedFallbackCheckpoint || c.usedFallbackCheckpoint;
+    stats.shardSequences.push_back(c.lastSequence);
+  }
+  tracker.rebuildIndex();
+  attached_ = true;
+  publishHealth();
+
+  stats.replayMillis = watch.elapsedMillis();
+  m.recoveryLastReplayMs->set(stats.replayMillis);
+  lastRecovery_ = stats;
+  return stats;
+}
+
+util::Result<RecoveryStats> DurabilityManager::recoverChain(
+    FlowTracker& tracker, std::size_t k) {
+  using R = util::Result<RecoveryStats>;
+  const WalMetrics& m = walMetrics();
+  Chain& c = *chains_[k];
   RecoveryStats stats;
 
   // 1. Newest checkpoint that loads (import is all-or-nothing, so a failed
-  //    attempt leaves the tracker empty for the next candidate).
+  //    attempt leaves the shard empty for the next candidate).
   const auto checkpoints =
-      listSeqFiles(vfs(), config_.directory, "checkpoint-", ".bfc");
-  bool loaded = false;
+      listSeqFiles(vfs(), c.directory, "checkpoint-", ".bfc");
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    auto info = loadSnapshotEx(tracker, checkpointPath(*it), config_.secret,
-                               config_.vfs);
+    auto info = loadSnapshotEx(tracker, checkpointPath(c, *it),
+                               config_.secret, config_.vfs, k);
     if (info.ok()) {
       stats.checkpointSequence = info.value().sequence;
       stats.maxTimestamp = info.value().maxTimestamp;
-      loaded = true;
       break;
     }
     stats.usedFallbackCheckpoint = true;
     m.recoveryFallbacks->inc();
   }
-  if (!loaded) stats.checkpointSequence = 0;  // cold start / all corrupt
 
   // 2. Replay every log in base-sequence order. A log wal-<S> holds
   //    records S+1..; it can only extend the replay frontier when S+1 is
@@ -715,14 +832,13 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
   //    unreachable suffix. Logs entirely below the checkpoint skip
   //    through via the in-file sequence checks.
   std::uint64_t next = stats.checkpointSequence + 1;
-  for (std::uint64_t s :
-       listSeqFiles(vfs(), config_.directory, "wal-", ".bfw")) {
+  for (std::uint64_t s : listSeqFiles(vfs(), c.directory, "wal-", ".bfw")) {
     if (s + 1 > next) {
-      stats.discardedBytes += vfs().fileSize(walPath(s));
+      stats.discardedBytes += vfs().fileSize(walPath(c, s));
       continue;
     }
-    const WalReplayResult r = replayWalFile(tracker, walPath(s), next,
-                                            ~std::uint64_t{0}, config_.vfs);
+    const WalReplayResult r = replayWalFile(tracker, walPath(c, s), next,
+                                            ~std::uint64_t{0}, config_.vfs, k);
     stats.replayedRecords += r.applied;
     stats.discardedBytes += r.discardedBytes;
     stats.maxTimestamp = std::max(stats.maxTimestamp, r.maxTimestamp);
@@ -735,116 +851,126 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
   // 3. Make the recovered state durable NOW: fresh checkpoint at the
   //    recovered sequence, fresh log continuing from it. Old generations
   //    (including any corrupt files) are pruned per config.
-  if (util::Status s =
-          saveSnapshot(tracker, checkpointPath(stats.lastSequence),
-                       config_.secret, stats.lastSequence, config_.vfs);
+  if (util::Status s = saveSnapshot(tracker, checkpointPath(c, stats.lastSequence),
+                                    config_.secret, stats.lastSequence,
+                                    config_.vfs, k);
       !s.ok()) {
     m.checkpointFailures->inc();
     return R::error("post-recovery checkpoint failed: " + s.errorMessage());
   }
   m.checkpoints->inc();
   if (util::Status s =
-          wal_.open(walPath(stats.lastSequence), stats.lastSequence,
-                    config_.syncEachAppend, config_.vfs);
+          c.wal.open(walPath(c, stats.lastSequence), stats.lastSequence,
+                     config_.syncEachAppend, config_.vfs);
       !s.ok()) {
     return R::error(s.errorMessage());
   }
-  pruneGenerations(stats.lastSequence);
-  enforceStorageQuota(stats.lastSequence);
-  tracker.attachWal(&wal_);
-  attached_ = true;
-  lastCheckpointOk_ = true;
-  health_ = DurabilityHealth::kHealthy;
-  repairAttempts_ = 0;
-  m.health->set(0.0);
-
-  stats.replayMillis = watch.elapsedMillis();
-  m.recoveryLastReplayMs->set(stats.replayMillis);
-  lastRecovery_ = stats;
+  pruneGenerations(c, stats.lastSequence);
+  enforceStorageQuota(c, stats.lastSequence);
+  tracker.attachWal(&c.wal, k);
+  c.lastCheckpointOk = true;
+  c.health = DurabilityHealth::kHealthy;
+  c.repairAttempts = 0;
   return stats;
 }
 
 util::Status DurabilityManager::checkpoint(const FlowTracker& tracker) {
+  util::Status first;
+  for (std::size_t k = 0; k < chains_.size(); ++k) {
+    const util::Status s = checkpointChain(tracker, k);
+    if (!s.ok() && first.ok()) first = s;
+  }
+  return first;
+}
+
+util::Status DurabilityManager::checkpointChain(const FlowTracker& tracker,
+                                                std::size_t k) {
   util::Stopwatch watch;
   const WalMetrics& m = walMetrics();
+  Chain& c = *chains_[k];
   // The caller quiesced mutations, so the last assigned sequence is stable
   // and the exported state contains exactly the records up to it — the
   // full in-memory state, including any records the WAL dropped, which is
   // what makes this checkpoint double as the degraded-mode repair.
-  const std::uint64_t seq = wal_.nextSequence() - 1;
-  if (util::Status s = saveSnapshot(tracker, checkpointPath(seq),
-                                    config_.secret, seq, config_.vfs);
+  const std::uint64_t seq = c.wal.nextSequence() - 1;
+  if (util::Status s = saveSnapshot(tracker, checkpointPath(c, seq),
+                                    config_.secret, seq, config_.vfs, k);
       !s.ok()) {
     m.checkpointFailures->inc();
     m.checkpointDurationUs->observe(watch.elapsedMicros());
-    lastCheckpointOk_ = false;
+    c.lastCheckpointOk = false;
     // A failed save may still have left partial state (and earlier
     // generations are still on disk); re-measure and prune so the quota
     // holds across failed attempts too, not just successful checkpoints.
-    enforceStorageQuota(seq);
-    enterDegraded();
+    enforceStorageQuota(c, seq);
+    enterDegraded(c);
     return s;
   }
   m.checkpoints->inc();
-  if (util::Status s = wal_.rotate(walPath(seq), seq); !s.ok()) {
+  if (util::Status s = c.wal.rotate(walPath(c, seq), seq); !s.ok()) {
     m.checkpointDurationUs->observe(watch.elapsedMicros());
-    lastCheckpointOk_ = false;
+    c.lastCheckpointOk = false;
     // The snapshot above DID land: without pruning here, every failed
     // rotation of a repair storm would strand one more checkpoint
     // generation and bf_storage_bytes would exceed the quota unbounded
     // until the next fully-successful checkpoint. Enforce after EVERY
     // rotation attempt, success or not.
-    enforceStorageQuota(seq);
-    enterDegraded();
+    enforceStorageQuota(c, seq);
+    enterDegraded(c);
     return s;
   }
-  pruneGenerations(seq);
-  enforceStorageQuota(seq);
-  lastCheckpointOk_ = true;
+  pruneGenerations(c, seq);
+  enforceStorageQuota(c, seq);
+  c.lastCheckpointOk = true;
   // A successful checkpoint + rotation IS a durable prefix: whatever the
   // WAL lost before is now inside the snapshot, so health is restored.
-  health_ = DurabilityHealth::kHealthy;
-  repairAttempts_ = 0;
-  m.health->set(0.0);
+  c.health = DurabilityHealth::kHealthy;
+  c.repairAttempts = 0;
+  publishHealth();
   m.checkpointLastMs->set(watch.elapsedMillis());
   m.checkpointDurationUs->observe(watch.elapsedMicros());
   return {};
 }
 
-bool DurabilityManager::checkpointDue() const {
-  return attached_ &&
-         wal_.appendedRecords() >= config_.checkpointEveryRecords;
-}
-
 util::Status DurabilityManager::checkpointIfDue(const FlowTracker& tracker) {
-  if (!checkpointDue()) return {};
-  return checkpoint(tracker);
-}
-
-void DurabilityManager::enterDegraded() {
-  if (health_ == DurabilityHealth::kHealthy) {
-    // New degraded episode: fresh backoff sequence.
-    repairBackoff_.reset();
-    repairAttempts_ = 0;
+  if (!attached_) return {};
+  util::Status first;
+  for (std::size_t k = 0; k < chains_.size(); ++k) {
+    if (chains_[k]->wal.appendedRecords() < config_.checkpointEveryRecords) {
+      continue;
+    }
+    const util::Status s = checkpointChain(tracker, k);
+    if (!s.ok() && first.ok()) first = s;
   }
-  health_ = DurabilityHealth::kDegraded;
-  nextRepairDelayMs_ = repairBackoff_.nextDelayMs();
-  repairWatch_.reset();
-  walMetrics().health->set(1.0);
+  return first;
 }
 
-util::Status DurabilityManager::attemptRepair(const FlowTracker& tracker) {
-  health_ = DurabilityHealth::kRecovering;
-  walMetrics().health->set(2.0);
-  ++repairAttempts_;
+void DurabilityManager::enterDegraded(Chain& c) {
+  if (c.health == DurabilityHealth::kHealthy) {
+    // New degraded episode: fresh backoff sequence.
+    c.repairBackoff.reset();
+    c.repairAttempts = 0;
+  }
+  c.health = DurabilityHealth::kDegraded;
+  c.nextRepairDelayMs = c.repairBackoff.nextDelayMs();
+  c.repairWatch.reset();
+  publishHealth();
+}
+
+util::Status DurabilityManager::attemptRepair(const FlowTracker& tracker,
+                                              std::size_t k) {
+  Chain& c = *chains_[k];
+  c.health = DurabilityHealth::kRecovering;
+  publishHealth();
+  ++c.repairAttempts;
   // Under disk pressure the repair itself needs room: shed old
   // generations before writing, not after.
-  enforceStorageQuota(wal_.nextSequence() - 1);
+  enforceStorageQuota(c, c.wal.nextSequence() - 1);
   // The repair is an emergency checkpoint: snapshot the full in-memory
   // state at the last assigned sequence (covering every lost record) and
-  // rotate onto a fresh segment. checkpoint() restores kHealthy on
+  // rotate onto a fresh segment. checkpointChain() restores kHealthy on
   // success and re-enters kDegraded (advancing the backoff) on failure.
-  util::Status s = checkpoint(tracker);
+  util::Status s = checkpointChain(tracker, k);
   if (s.ok()) {
     walMetrics().repairs->inc();
   } else {
@@ -855,15 +981,26 @@ util::Status DurabilityManager::attemptRepair(const FlowTracker& tracker) {
 
 util::Status DurabilityManager::maintain(const FlowTracker& tracker) {
   if (!attached_) return {};
-  if (health_ == DurabilityHealth::kHealthy) {
+  util::Status first;
+  for (std::size_t k = 0; k < chains_.size(); ++k) {
+    const util::Status s = maintainChain(tracker, k);
+    if (!s.ok() && first.ok()) first = s;
+  }
+  return first;
+}
+
+util::Status DurabilityManager::maintainChain(const FlowTracker& tracker,
+                                              std::size_t k) {
+  Chain& c = *chains_[k];
+  if (c.health == DurabilityHealth::kHealthy) {
     // Fast path: one WAL lock acquisition to learn everything we need.
-    const WriteAheadLog::Stats s = wal_.stats();
-    if (!s.healthy || !lastCheckpointOk_) {
-      enterDegraded();
+    const WriteAheadLog::Stats s = c.wal.stats();
+    if (!s.healthy || !c.lastCheckpointOk) {
+      enterDegraded(c);
       return {};
     }
     if (s.appended >= config_.checkpointEveryRecords) {
-      return checkpoint(tracker);
+      return checkpointChain(tracker, k);
     }
     return {};
   }
@@ -871,13 +1008,32 @@ util::Status DurabilityManager::maintain(const FlowTracker& tracker) {
   // attempts on the decorrelated-jitter backoff — a dying disk gets
   // breathing room, and the decision path pays one stopwatch read per
   // decision while waiting.
-  if (repairWatch_.elapsedMillis() < nextRepairDelayMs_) return {};
-  return attemptRepair(tracker);
+  if (c.repairWatch.elapsedMillis() < c.nextRepairDelayMs) return {};
+  return attemptRepair(tracker, k);
+}
+
+DurabilityHealth DurabilityManager::health() const noexcept {
+  DurabilityHealth worst = DurabilityHealth::kHealthy;
+  for (const auto& c : chains_) worst = std::max(worst, c->health);
+  return worst;
+}
+
+void DurabilityManager::publishHealth() const {
+  walMetrics().health->set(static_cast<double>(health()));
 }
 
 bool DurabilityManager::healthy() const {
-  return attached_ && health_ == DurabilityHealth::kHealthy &&
-         lastCheckpointOk_ && wal_.healthy();
+  return attached_ &&
+         std::all_of(chains_.begin(), chains_.end(), [](const auto& c) {
+           return c->health == DurabilityHealth::kHealthy &&
+                  c->lastCheckpointOk && c->wal.healthy();
+         });
+}
+
+std::uint64_t DurabilityManager::repairAttempts() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& c : chains_) total += c->repairAttempts;
+  return total;
 }
 
 }  // namespace bf::flow

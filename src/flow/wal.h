@@ -189,16 +189,18 @@ struct WalReplayResult {
   bool sawCorruption = false;        ///< hit a torn/corrupt frame or seq gap
 };
 
-/// Replays the WAL file at `path` into `tracker`: applies every valid
-/// record with floor < sequence <= cap, in order, requiring exact sequence
-/// continuity from `nextExpected` (records below it are skipped as already
-/// covered by the checkpoint). Stops at the first torn/corrupt frame or
-/// sequence gap; everything after it is counted in discardedBytes. The
-/// tracker's WAL should be detached while replaying (recovery must not
-/// re-log its own replay). `vfs` routes the read (null = defaultVfs()).
+/// Replays the WAL file at `path` into shard `shard` of `tracker`: applies
+/// every valid record with floor < sequence <= cap, in order, requiring
+/// exact sequence continuity from `nextExpected` (records below it are
+/// skipped as already covered by the checkpoint). Stops at the first
+/// torn/corrupt frame or sequence gap; everything after it is counted in
+/// discardedBytes. The tracker's WAL should be detached while replaying
+/// (recovery must not re-log its own replay). `vfs` routes the read
+/// (null = defaultVfs()).
 [[nodiscard]] WalReplayResult replayWalFile(
     FlowTracker& tracker, const std::string& path, std::uint64_t nextExpected,
-    std::uint64_t cap = ~std::uint64_t{0}, io::Vfs* vfs = nullptr);
+    std::uint64_t cap = ~std::uint64_t{0}, io::Vfs* vfs = nullptr,
+    std::size_t shard = 0);
 
 /// Durability health (DESIGN.md §13). Values double as the bf_wal_health
 /// gauge encoding, so keep them stable.
@@ -208,10 +210,12 @@ enum class DurabilityHealth : std::uint8_t {
   kRecovering = 2, ///< a repair attempt is in flight
 };
 
-/// Configuration of the durability manager.
+/// Configuration of the durability manager. Every knob applies to each
+/// shard's chain on its own.
 struct DurabilityConfig {
-  /// Directory holding checkpoint-<seq>.bfc and wal-<seq>.bfw files
-  /// (created if missing).
+  /// Directory holding the checkpoint-<seq>.bfc and wal-<seq>.bfw files
+  /// (created if missing). A tracker with N > 1 shards keeps one chain per
+  /// shard in `<directory>/shard-NN/`.
   std::string directory;
   /// Snapshot encryption secret (empty = plaintext checkpoints).
   std::string secret;
@@ -243,7 +247,7 @@ struct DurabilityConfig {
   std::uint64_t maxStorageBytes = 0;
 };
 
-/// What recovery found and did.
+/// What recovery found and did. Counts are summed over the shards' chains.
 struct RecoveryStats {
   std::uint64_t checkpointSequence = 0;  ///< sequence of the loaded checkpoint
   std::uint64_t replayedRecords = 0;     ///< WAL records applied
@@ -252,25 +256,35 @@ struct RecoveryStats {
   util::Timestamp maxTimestamp = 0;      ///< advance the clock past this
   bool usedFallbackCheckpoint = false;   ///< newest checkpoint was corrupt
   double replayMillis = 0.0;             ///< load + replay wall time
+  /// lastSequence of each shard's chain (one entry at N = 1).
+  std::vector<std::uint64_t> shardSequences;
 };
 
-/// Owns the WAL + checkpoint lifecycle for one tracker.
+/// Owns the WAL + checkpoint lifecycle of one tracker: one chain per
+/// tracker shard, each with its own checkpoint generations, WAL and
+/// health. Every mutation of shard k is applied and logged under shard k's
+/// writer mutex, so each chain has the single-log guarantee on its own:
+/// recovery restores a prefix of that shard's history. Shards may recover
+/// different prefixes; each shard's state is still one some earlier
+/// interleaving of the mutations would have produced, which imprecise flow
+/// tracking tolerates like the torn tail of one log.
 ///
 /// Thread safety: recoverAndAttach(), checkpoint*() and maintain() require
 /// QUIESCED tracker mutations — the same external-serialisation contract
 /// as flow::exportState() (the engine's lockState() provides it on the
-/// decision path). The WAL itself is internally synchronised, so tracker
-/// mutations from any thread log safely between those calls.
+/// decision path). The WALs themselves are internally synchronised, so
+/// tracker mutations from any thread log safely between those calls.
 ///
-/// Self-healing (DESIGN.md §13): health() runs the state machine
+/// Self-healing (DESIGN.md §13): each chain runs the state machine
 /// Healthy → Degraded → Recovering → Healthy. A WAL append/flush/fsync
-/// failure or a failed checkpoint degrades the manager; maintain() then
+/// failure or a failed checkpoint degrades the chain; maintain() then
 /// schedules repair attempts on decorrelated-jitter backoff. A repair IS
-/// an emergency checkpoint: the full in-memory state — including every
-/// record the WAL dropped — is snapshotted at the last assigned sequence
-/// and the log rotates to a fresh segment, re-establishing a durable
-/// prefix. Repair retries indefinitely; an unrecoverable store degrades
-/// durability forever but never blocks a tracker mutation.
+/// an emergency checkpoint: the shard's full in-memory state — including
+/// every record the WAL dropped — is snapshotted at the last assigned
+/// sequence and the log rotates to a fresh segment, re-establishing a
+/// durable prefix. Repair retries indefinitely; an unrecoverable store
+/// degrades durability forever but never blocks a tracker mutation, and
+/// one degraded chain never blocks the others' checkpoints.
 class DurabilityManager {
  public:
   explicit DurabilityManager(DurabilityConfig config);
@@ -279,46 +293,53 @@ class DurabilityManager {
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
 
-  /// Recovers `tracker` (which must be empty) from the directory: newest
-  /// valid checkpoint, then the WAL tail. Afterwards writes a fresh
-  /// checkpoint, rotates the log, prunes old generations, and attaches the
-  /// WAL to the tracker so new mutations are logged. The caller must
-  /// advance the tracker's clock past RecoveryStats::maxTimestamp.
+  /// Recovers `tracker` (which must be empty) from the directory, one
+  /// chain per tracker shard: newest valid checkpoint, then the WAL tail.
+  /// Afterwards writes a fresh checkpoint per chain, rotates the logs,
+  /// prunes old generations, attaches each WAL to its shard and rebuilds
+  /// the tracker's index. Fails when the directory was laid out for a
+  /// different shard count. The caller must advance the tracker's clock
+  /// past RecoveryStats::maxTimestamp.
   [[nodiscard]] util::Result<RecoveryStats> recoverAndAttach(
       FlowTracker& tracker);
 
-  /// Writes a checkpoint of the tracker's current state, rotates the WAL
-  /// and prunes old generations. Mutations must be quiesced. Success
-  /// re-establishes a durable prefix and restores kHealthy.
+  /// Writes a checkpoint of every shard's current state, rotates the WALs
+  /// and prunes old generations. Mutations must be quiesced. Visits every
+  /// chain and returns the first error. Success re-establishes a durable
+  /// prefix and restores kHealthy.
   [[nodiscard]] util::Status checkpoint(const FlowTracker& tracker);
 
-  /// True once checkpointEveryRecords appends have accumulated.
-  [[nodiscard]] bool checkpointDue() const;
-
-  /// checkpoint() when due, no-op otherwise.
+  /// Checkpoints every chain that has accumulated checkpointEveryRecords
+  /// appends since its last checkpoint; no-op otherwise.
   [[nodiscard]] util::Status checkpointIfDue(const FlowTracker& tracker);
 
   /// The decision-path maintenance hook: periodic checkpoints while
-  /// healthy, backoff-paced repair attempts while degraded. Cheap when
-  /// nothing is due (one WAL lock acquisition). Mutations must be
-  /// quiesced, same as checkpoint(). Returns the repair/checkpoint
-  /// outcome (ok when nothing was attempted).
+  /// healthy, backoff-paced repair attempts while degraded, per chain.
+  /// Cheap when nothing is due (one WAL lock acquisition per chain).
+  /// Mutations must be quiesced, same as checkpoint(). Returns the first
+  /// repair/checkpoint error (ok when nothing was attempted).
   [[nodiscard]] util::Status maintain(const FlowTracker& tracker);
 
-  /// Current durability health (the bf_wal_health gauge value).
-  [[nodiscard]] DurabilityHealth health() const noexcept { return health_; }
+  /// Current durability health, the worst over the chains (the
+  /// bf_wal_health gauge value).
+  [[nodiscard]] DurabilityHealth health() const noexcept;
 
-  /// Healthy = attached, WAL accepting appends, last checkpoint succeeded
-  /// and no repair pending. An unhealthy manager never blocks tracker
-  /// mutations.
+  /// Healthy = attached and every chain's WAL accepting appends, last
+  /// checkpoint succeeded and no repair pending. An unhealthy manager
+  /// never blocks tracker mutations.
   [[nodiscard]] bool healthy() const;
 
-  /// Repair attempts made in the current degraded episode (0 when healthy).
-  [[nodiscard]] std::uint64_t repairAttempts() const noexcept {
-    return repairAttempts_;
-  }
+  /// Repair attempts made in the current degraded episodes (0 when
+  /// healthy).
+  [[nodiscard]] std::uint64_t repairAttempts() const noexcept;
 
-  [[nodiscard]] WriteAheadLog& wal() noexcept { return wal_; }
+  /// Chains (= tracker shards once recovered; 1 before).
+  [[nodiscard]] std::size_t shardCount() const noexcept {
+    return chains_.size();
+  }
+  [[nodiscard]] WriteAheadLog& wal(std::size_t shard = 0) noexcept {
+    return chains_[shard]->wal;
+  }
   [[nodiscard]] const RecoveryStats& lastRecovery() const noexcept {
     return lastRecovery_;
   }
@@ -326,34 +347,58 @@ class DurabilityManager {
     return config_;
   }
 
+  /// `<root>/shard-NN`: where shard `shard`'s chain lives when N > 1.
+  [[nodiscard]] static std::string shardDirectory(const std::string& root,
+                                                  std::size_t shard);
+
  private:
+  /// One checkpoint + WAL generation chain and its repair state machine
+  /// (driven from maintain(); same quiesced-caller contract as
+  /// checkpoint(), so plain members suffice).
+  struct Chain {
+    Chain(const DurabilityConfig& config, std::uint64_t seed);
+    std::string directory;
+    WriteAheadLog wal;
+    bool lastCheckpointOk = true;
+    std::uint64_t storageBytes = 0;
+    DurabilityHealth health = DurabilityHealth::kHealthy;
+    util::Rng repairRng;
+    util::Backoff repairBackoff{{}, nullptr};
+    util::Stopwatch repairWatch;
+    double nextRepairDelayMs = 0.0;
+    std::uint64_t repairAttempts = 0;
+  };
+
   [[nodiscard]] io::Vfs& vfs() const noexcept;
-  [[nodiscard]] std::string checkpointPath(std::uint64_t seq) const;
-  [[nodiscard]] std::string walPath(std::uint64_t seq) const;
-  void pruneGenerations(std::uint64_t keepFromSeq);
-  /// Total bytes across checkpoint + WAL files; updates bf_storage_bytes.
-  [[nodiscard]] std::uint64_t measureStorageBytes();
-  /// Shrinks to the newest generation when over maxStorageBytes.
-  void enforceStorageQuota(std::uint64_t currentSeq);
-  void enterDegraded();
+  /// Refuses a directory laid out for another shard count: its hashes
+  /// would route to the wrong shards.
+  [[nodiscard]] util::Status checkLayout(std::size_t shards);
+  [[nodiscard]] util::Result<RecoveryStats> recoverChain(FlowTracker& tracker,
+                                                         std::size_t k);
+  [[nodiscard]] util::Status checkpointChain(const FlowTracker& tracker,
+                                             std::size_t k);
+  [[nodiscard]] util::Status maintainChain(const FlowTracker& tracker,
+                                           std::size_t k);
+  [[nodiscard]] static std::string checkpointPath(const Chain& c,
+                                                  std::uint64_t seq);
+  [[nodiscard]] static std::string walPath(const Chain& c, std::uint64_t seq);
+  void pruneGenerations(const Chain& c, std::uint64_t keepFromSeq);
+  /// Total bytes across the chain's checkpoint + WAL files; updates
+  /// bf_storage_bytes (summed over chains).
+  [[nodiscard]] std::uint64_t measureStorageBytes(Chain& c);
+  /// Shrinks the chain to its newest generation when over maxStorageBytes.
+  void enforceStorageQuota(Chain& c, std::uint64_t currentSeq);
+  void enterDegraded(Chain& c);
   /// One repair attempt: emergency checkpoint + rotation.
-  [[nodiscard]] util::Status attemptRepair(const FlowTracker& tracker);
+  [[nodiscard]] util::Status attemptRepair(const FlowTracker& tracker,
+                                           std::size_t k);
+  /// Sets the bf_wal_health gauge to health().
+  void publishHealth() const;
 
   DurabilityConfig config_;
-  WriteAheadLog wal_;
-  std::uint64_t recordsAtLastCheckpoint_ = 0;
+  std::vector<std::unique_ptr<Chain>> chains_;
   bool attached_ = false;
-  bool lastCheckpointOk_ = true;
   RecoveryStats lastRecovery_;
-
-  // Repair state machine (driven from maintain(); same quiesced-caller
-  // contract as checkpoint(), so plain members suffice).
-  DurabilityHealth health_ = DurabilityHealth::kHealthy;
-  util::Rng repairRng_{0};
-  util::Backoff repairBackoff_{{}, nullptr};
-  util::Stopwatch repairWatch_;
-  double nextRepairDelayMs_ = 0.0;
-  std::uint64_t repairAttempts_ = 0;
 };
 
 }  // namespace bf::flow

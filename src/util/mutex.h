@@ -18,15 +18,15 @@
 //   kRankEngineState   (10)  core::DecisionEngine::stateMutex_
 //   kRankEngineQueue   (20)  core::DecisionEngine::queueMutex_
 //   kRankPendingAudits (30)  core::DecisionEngine::pendingAuditsMutex_
-//   kRankShardStripe   (34)  flow::ShardedFlowTracker per-document stripes
-//                            (held across the whole shard fan-out of one
-//                            document's mutation, so they rank above the
-//                            briefly-held facade mutex acquired inside)
-//   kRankShardedTracker(36)  flow::ShardedFlowTracker::mutex_ (facade
-//                            bookkeeping: name→id index, tenant quotas)
-//   kRankTracker       (40)  flow::FlowTracker::mutex_ — shard i of a
-//                            sharded tracker uses kRankTracker + i, so the
-//                            band [40, 40 + kMaxTrackerShards) is reserved
+//   kRankTrackerStripe (34)  flow::FlowTracker per-document stripes (held
+//                            across the whole shard walk of one mutation,
+//                            so they rank above the briefly-held index
+//                            mutex acquired inside)
+//   kRankTrackerIndex  (36)  flow::FlowTracker::indexMutex_ (name→id index,
+//                            tenant quotas)
+//   kRankTracker       (40)  flow::FlowTracker shard writer mutexes — shard
+//                            i uses kRankTracker + i, so the band
+//                            [40, 40 + kMaxTrackerShards) is reserved
 //                            (shards are never acquired nested; distinct
 //                            ranks keep the hierarchy honest if they were)
 //   kRankWal           (60)  flow::WriteAheadLog::mutex_ (appends run under
@@ -51,7 +51,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -70,8 +69,8 @@ inline constexpr int kRankUnranked = -1;  ///< exempt from hierarchy checks
 inline constexpr int kRankEngineState = 10;
 inline constexpr int kRankEngineQueue = 20;
 inline constexpr int kRankPendingAudits = 30;
-inline constexpr int kRankShardStripe = 34;
-inline constexpr int kRankShardedTracker = 36;
+inline constexpr int kRankTrackerStripe = 34;
+inline constexpr int kRankTrackerIndex = 36;
 inline constexpr int kRankTracker = 40;
 /// Upper bound on tracker shards: shard i's mutex uses kRankTracker + i,
 /// and the band [kRankTracker, kRankTracker + kMaxTrackerShards) must stay
@@ -104,8 +103,8 @@ LockRankViolationHandler setLockRankViolationHandler(
   return BF_LOCK_RANK_CHECKS != 0;
 }
 
-/// Process-wide count of ranked-mutex acquisitions of `rank` (shared and
-/// exclusive alike) since start-up. Always 0 when lockRankChecksEnabled()
+/// Process-wide count of ranked-mutex acquisitions of `rank` since
+/// start-up. Always 0 when lockRankChecksEnabled()
 /// is false. Test hook: proving a code path is lock-free at a given rank
 /// means running it and asserting this count did not move (e.g. the
 /// tracker's read path never takes kRankTracker).
@@ -171,98 +170,6 @@ class BF_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Annotated reader-writer mutex (std::shared_mutex wrapper). Shared
-/// ("reader") acquisitions run concurrently with each other; exclusive
-/// ("writer") acquisitions serialise with everything. Both modes
-/// participate in the rank hierarchy: acquiring a SharedMutex — shared or
-/// exclusive — while holding any mutex of equal or greater rank is a
-/// violation, and recursive shared acquisition on one thread (legal-looking
-/// but deadlock-prone once a writer queues between the two reads) is caught
-/// the same way.
-class BF_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() noexcept = default;
-  explicit SharedMutex(int rank, const char* name = "") noexcept
-      : rank_(rank), name_(name) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() BF_ACQUIRE() {
-#if BF_LOCK_RANK_CHECKS
-    detail::noteAcquire(this, rank_, name_);
-#endif
-    m_.lock();
-  }
-
-  void unlock() BF_RELEASE() {
-    m_.unlock();
-#if BF_LOCK_RANK_CHECKS
-    detail::noteRelease(this, rank_);
-#endif
-  }
-
-  void lock_shared() BF_ACQUIRE_SHARED() {
-#if BF_LOCK_RANK_CHECKS
-    detail::noteAcquire(this, rank_, name_);
-#endif
-    m_.lock_shared();
-  }
-
-  void unlock_shared() BF_RELEASE_SHARED() {
-    m_.unlock_shared();
-#if BF_LOCK_RANK_CHECKS
-    detail::noteRelease(this, rank_);
-#endif
-  }
-
-  bool try_lock() BF_TRY_ACQUIRE(true) {
-    if (!m_.try_lock()) return false;
-#if BF_LOCK_RANK_CHECKS
-    detail::noteAcquire(this, rank_, name_);
-#endif
-    return true;
-  }
-
-  [[nodiscard]] int rank() const noexcept { return rank_; }
-  [[nodiscard]] const char* name() const noexcept { return name_; }
-
- private:
-  std::shared_mutex m_;
-  int rank_ = kRankUnranked;
-  const char* name_ = "";
-};
-
-/// RAII exclusive (writer) lock over a SharedMutex.
-class BF_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) BF_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedMutexLock() BF_RELEASE_GENERIC() { mu_.unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class BF_SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(SharedMutex& mu) BF_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~SharedReaderLock() BF_RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable usable with Mutex. Waiting releases and re-acquires

@@ -48,8 +48,6 @@
 /// Function may only be called while holding the listed capabilities.
 #define BF_REQUIRES(...) \
   BF_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define BF_REQUIRES_SHARED(...) \
-  BF_THREAD_ANNOTATION_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires / releases the listed capabilities.
 #define BF_ACQUIRE(...) \
@@ -58,21 +56,6 @@
   BF_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
 #define BF_TRY_ACQUIRE(...) \
   BF_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
-/// Shared (reader) acquisition/release, for util::SharedMutex. A function
-/// holding the capability exclusively satisfies BF_REQUIRES_SHARED; reads
-/// of BF_GUARDED_BY fields are legal under either mode, writes only under
-/// exclusive.
-#define BF_ACQUIRE_SHARED(...) \
-  BF_THREAD_ANNOTATION_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
-#define BF_RELEASE_SHARED(...) \
-  BF_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
-#define BF_TRY_ACQUIRE_SHARED(...) \
-  BF_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_shared_capability(__VA_ARGS__))
-/// Generic release for BF_SCOPED_CAPABILITY destructors that may hold the
-/// capability in either mode (clang's scoped analysis tracks which).
-#define BF_RELEASE_GENERIC(...) \
-  BF_THREAD_ANNOTATION_ATTRIBUTE(release_generic_capability(__VA_ARGS__))
 
 /// Function must NOT be called while holding the listed capabilities
 /// (deadlock prevention for self-locking public entry points).

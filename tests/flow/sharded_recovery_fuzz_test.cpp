@@ -3,8 +3,8 @@
 // The single-tracker fuzz (recovery_fuzz_test.cpp) proves "recovery lands
 // on a byte-exact prefix of history" for one WAL. Sharding splits that
 // history into one log PER SHARD, so the oracle becomes per-shard: each
-// trial runs a random mixed-tenant workload through a ShardedFlowTracker
-// with a ShardedDurabilityManager, records every shard's canonical state
+// trial runs a random mixed-tenant workload through a sharded FlowTracker
+// with a DurabilityManager, records every shard's canonical state
 // after every one of that shard's WAL sequences, crashes, corrupts ONE
 // random shard's directory, and recovers fresh. Invariants:
 //   * every shard recovers to a byte-exact prefix of ITS OWN history;
@@ -12,10 +12,10 @@
 //     never propagates across shard boundaries;
 //   * with no corruption, every shard recovers its full history.
 //
-// Every facade mutation appends AT MOST ONE record to each shard's log
-// (observe/remove/threshold/evict all fan out as single routed records),
-// so per-shard sequence boundaries are op boundaries and the oracle is
-// total over reachable prefixes.
+// Every tracker mutation appends AT MOST ONE record to each shard's log
+// (observe/remove/threshold/evict visit each shard once), so per-shard
+// sequence boundaries are op boundaries and the oracle is total over
+// reachable prefixes.
 //
 // Knobs for CI matrix legs and soak runs:
 //   BF_SHARDED_FUZZ_TRIALS (default 60)
@@ -36,9 +36,9 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
-#include "flow/sharded_tracker.h"
-#include "flow/sharded_wal.h"
 #include "flow/snapshot.h"
+#include "flow/tracker.h"
+#include "flow/wal.h"
 #include "io/vfs.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -135,22 +135,19 @@ TEST(ShardedRecoveryFuzzTest, EveryShardRecoversAPrefixOfItsOwnHistory) {
     const std::string dir = baseDir + "_" + std::to_string(trial);
     (void)std::system(("rm -rf '" + dir + "'").c_str());
 
-    ShardedDurabilityConfig cfg;
-    cfg.base.directory = dir;
-    cfg.base.secret = rng.chance(0.5) ? "fuzz-secret" : "";
-    cfg.base.checkpointEveryRecords = rng.uniform(4, 10);
-    cfg.base.keepGenerations = 0;  // keep everything: any prefix replayable
-    // Exercise the per-shard cadence override on a random shard.
-    cfg.checkpointEveryRecordsPerShard.assign(shards, 0);
-    cfg.checkpointEveryRecordsPerShard[static_cast<std::size_t>(
-        rng.uniform(0, static_cast<std::uint64_t>(shards - 1)))] =
-        rng.uniform(2, 6);
+    DurabilityConfig cfg;
+    cfg.directory = dir;
+    cfg.secret = rng.chance(0.5) ? "fuzz-secret" : "";
+    // The cadence varies per trial, so chains of every shard roll their
+    // checkpoints at different points of their histories.
+    cfg.checkpointEveryRecords = rng.uniform(2, 10);
+    cfg.keepGenerations = 0;  // keep everything: any prefix replayable
 
-    ShardedTrackerConfig tcfg;
+    TrackerConfig tcfg;
     tcfg.shards = shards;
     util::LogicalClock clock;
-    ShardedFlowTracker tracker(tcfg, &clock);
-    auto mgr = std::make_unique<ShardedDurabilityManager>(cfg, shards);
+    FlowTracker tracker(tcfg, &clock);
+    auto mgr = std::make_unique<DurabilityManager>(cfg);
     {
       auto boot = mgr->recoverAndAttach(tracker);
       ASSERT_TRUE(boot.ok()) << boot.errorMessage() << " (trial " << trial
@@ -162,8 +159,7 @@ TEST(ShardedRecoveryFuzzTest, EveryShardRecoversAPrefixOfItsOwnHistory) {
     std::vector<std::map<std::uint64_t, std::string>> oracle(shards);
     const auto snapshotOracle = [&] {
       for (std::size_t k = 0; k < shards; ++k) {
-        oracle[k][mgr->shard(k).wal().nextSequence() - 1] =
-            exportState(tracker.shard(k));
+        oracle[k][mgr->wal(k).nextSequence() - 1] = exportState(tracker, k);
       }
     };
     snapshotOracle();
@@ -196,7 +192,7 @@ TEST(ShardedRecoveryFuzzTest, EveryShardRecoversAPrefixOfItsOwnHistory) {
       } else if (dice < 0.92) {
         (void)tracker.evictAssociationsOlderThan(rng.uniform(0, 60));
       } else {
-        auto s = mgr->checkpointAll(tracker);
+        auto s = mgr->checkpoint(tracker);
         ASSERT_TRUE(s.ok()) << s.errorMessage();
       }
       auto due = mgr->maintain(tracker);
@@ -206,9 +202,7 @@ TEST(ShardedRecoveryFuzzTest, EveryShardRecoversAPrefixOfItsOwnHistory) {
 
     // Crash: detach every shard's WAL, drop the manager, corrupt ONE
     // random shard's directory (or none).
-    for (std::size_t k = 0; k < shards; ++k) {
-      tracker.shard(k).attachWal(nullptr);
-    }
+    for (std::size_t k = 0; k < shards; ++k) tracker.attachWal(nullptr, k);
     mgr.reset();
     std::string what = "none";
     std::size_t corruptedShard = shards;  // sentinel: none
@@ -216,28 +210,28 @@ TEST(ShardedRecoveryFuzzTest, EveryShardRecoversAPrefixOfItsOwnHistory) {
       corruptedShard = static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::uint64_t>(shards - 1)));
       what = corruptShardDir(
-          rng, ShardedDurabilityManager::shardDirectory(dir, corruptedShard));
+          rng, shards == 1
+                   ? dir
+                   : DurabilityManager::shardDirectory(dir, corruptedShard));
       ++corruptTrials;
     }
 
     util::LogicalClock clock2;
-    ShardedFlowTracker recovered(tcfg, &clock2);
-    ShardedDurabilityManager mgr2(cfg, shards);
+    FlowTracker recovered(tcfg, &clock2);
+    DurabilityManager mgr2(cfg);
     auto stats = mgr2.recoverAndAttach(recovered);
     ASSERT_TRUE(stats.ok()) << stats.errorMessage() << " (trial " << trial
                             << ", seed " << seed << ", " << what << ")";
     clock2.advanceTo(stats.value().maxTimestamp + 1);
-    for (std::size_t k = 0; k < shards; ++k) {
-      recovered.shard(k).attachWal(nullptr);
-    }
+    for (std::size_t k = 0; k < shards; ++k) recovered.attachWal(nullptr, k);
 
     for (std::size_t k = 0; k < shards; ++k) {
-      const std::uint64_t s = stats.value().shards[k].lastSequence;
+      const std::uint64_t s = stats.value().shardSequences[k];
       ASSERT_EQ(oracle[k].count(s), 1u)
           << "shard " << k << " recovered to sequence " << s
           << " which is not an op boundary (trial " << trial << ", seed "
           << seed << ", " << what << ")";
-      EXPECT_TRUE(exportState(recovered.shard(k)) == oracle[k][s])
+      EXPECT_TRUE(exportState(recovered, k) == oracle[k][s])
           << "shard " << k << " state at sequence " << s
           << " diverges from its history (trial " << trial << ", seed "
           << seed << ", " << what << ")";

@@ -1,7 +1,8 @@
-// Tests for ShardedFlowTracker (DESIGN.md §16): merged query results must
-// be byte-identical for every shard count (including the unsharded
-// tracker), and tenants must be hard-isolated — hits, segment namespaces
-// and quota accounting never cross a tenant boundary.
+// Tests for FlowTracker's hash-space shards and tenants (DESIGN.md §16):
+// answers must be byte-identical for every shard count — pinned against
+// goldens recorded from the single-writer tracker — and tenants must be
+// hard-isolated: hits, segment namespaces and quota accounting never cross
+// a tenant boundary.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -10,12 +11,13 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
-#include "flow/sharded_tracker.h"
 #include "flow/tracker.h"
 #include "util/clock.h"
 
 namespace bf::flow {
 namespace {
+
+constexpr std::size_t kShardCounts[] = {1, 2, 4, 16};
 
 /// Canonical rendering of a hit list: any divergence between shard counts
 /// shows up as a string diff.
@@ -30,14 +32,21 @@ std::string dump(const std::vector<DisclosureHit>& hits) {
   return out.str();
 }
 
+std::string dumpRanges(
+    const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
+  std::ostringstream out;
+  for (const auto& [begin, end] : ranges) out << begin << '-' << end << ';';
+  return out.str();
+}
+
 class ShardedTrackerTest : public ::testing::Test {
  protected:
   ShardedTrackerTest() : rng_(777), gen_(&rng_) {}
 
-  ShardedFlowTracker makeSharded(std::size_t shards) {
-    ShardedTrackerConfig cfg;
+  FlowTracker makeTracker(std::size_t shards) {
+    TrackerConfig cfg;
     cfg.shards = shards;
-    return ShardedFlowTracker(cfg, &clock_);
+    return FlowTracker(cfg, &clock_);
   }
 
   std::string paragraph() { return gen_.paragraph(5, 8); }
@@ -48,26 +57,43 @@ class ShardedTrackerTest : public ::testing::Test {
 };
 
 TEST_F(ShardedTrackerTest, ShardOfPartitionsTheHashSpace) {
-  ShardedFlowTracker t = makeSharded(4);
-  ASSERT_EQ(t.shardCount(), 4u);
-  for (std::uint64_t h = 1; h < 1000; ++h) {
-    EXPECT_LT(t.shardOf(h), 4u);
-    // Pure function of the hash: same value, same shard, every time.
-    EXPECT_EQ(t.shardOf(h), t.shardOf(h));
+  // Every stored hash lives in exactly one shard: the per-shard stores of
+  // an N-shard tracker partition the single-shard tracker's hash set.
+  const std::string text = paragraph();
+  FlowTracker one = makeTracker(1);
+  FlowTracker four = makeTracker(4);
+  ASSERT_EQ(four.shardCount(), 4u);
+  one.observeSegment(SegmentKind::kParagraph, "p#p0", "p", "svc", text);
+  const SegmentId id =
+      four.observeSegment(SegmentKind::kParagraph, "p#p0", "p", "svc", text);
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < 4; ++k) {
+    total += four.hashDb(SegmentKind::kParagraph, k).distinctHashCount();
+  }
+  EXPECT_EQ(total, one.hashDb().distinctHashCount());
+  const text::Fingerprint fp = one.fingerprintOf(text);
+  for (std::uint64_t h : fp.hashes()) {
+    int owners = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      if (four.hashDb(SegmentKind::kParagraph, k).oldestSegmentWith(h) == id) {
+        ++owners;
+      }
+    }
+    EXPECT_EQ(owners, 1) << "hash " << h;
   }
 }
 
 TEST_F(ShardedTrackerTest, ShardCountClampedToSupportedRange) {
-  EXPECT_EQ(makeSharded(0).shardCount(), 1u);
-  EXPECT_EQ(makeSharded(64).shardCount(), util::kMaxTrackerShards);
+  EXPECT_EQ(makeTracker(0).shardCount(), 1u);
+  EXPECT_EQ(makeTracker(64).shardCount(),
+            static_cast<std::size_t>(util::kMaxTrackerShards));
 }
 
 TEST_F(ShardedTrackerTest, MergedHitsIdenticalAcrossShardCounts) {
-  // The tentpole invariant: hash→shard routing splits fingerprints into
-  // disjoint partials, so per-shard overlaps sum to the global overlap and
-  // the merged answer is EXACT — byte-identical at N = 1, 4, 16, and equal
-  // to the unsharded FlowTracker (same ids, names, scores, thresholds,
-  // overlap counts, sort order).
+  // The invariant: hash→shard routing splits fingerprints into disjoint
+  // parts, so per-shard overlaps sum to the global overlap and the answer
+  // is EXACT — the same ids, names, scores, thresholds, overlap counts and
+  // sort order at every shard count as the single-writer tracker gave.
   std::vector<std::string> secrets;
   for (int i = 0; i < 6; ++i) secrets.push_back(paragraph());
   // Probes: verbatim copy, two-source splice, copy + fresh tail, fresh.
@@ -77,31 +103,25 @@ TEST_F(ShardedTrackerTest, MergedHitsIdenticalAcrossShardCounts) {
       secrets[3] + " " + paragraph(),
       paragraph(),
   };
-
-  auto observeAll = [&](auto& tracker) {
-    for (std::size_t i = 0; i < secrets.size(); ++i) {
-      tracker.observeSegment(SegmentKind::kParagraph,
-                             "doc" + std::to_string(i / 2) + "#p" +
-                                 std::to_string(i % 2),
-                             "doc" + std::to_string(i / 2), "svc", secrets[i]);
-    }
+  // Recorded from the single-writer tracker before shards were folded in.
+  const std::vector<std::string> golden = {
+      "1|0|doc0#p0|doc0|svc|1|99|99|0.5\n",
+      "2|0|doc0#p1|doc0|svc|1|85|85|0.5\n"
+      "3|0|doc1#p0|doc1|svc|0.988636|87|88|0.5\n",
+      "4|0|doc1#p1|doc1|svc|0.972477|106|109|0.5\n",
+      "",
   };
 
-  util::LogicalClock refClock;
-  FlowTracker reference(TrackerConfig{}, &refClock);
-  observeAll(reference);
-  std::vector<std::string> expected;
-  for (const std::string& probe : probes) {
-    expected.push_back(dump(reference.checkText(probe, "probe-doc")));
-  }
-  // At least one probe must actually disclose, or this test proves nothing.
-  ASSERT_FALSE(expected[0].empty());
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    ShardedFlowTracker t = makeSharded(shards);
-    observeAll(t);
+  for (std::size_t shards : kShardCounts) {
+    FlowTracker t = makeTracker(shards);
+    for (std::size_t i = 0; i < secrets.size(); ++i) {
+      t.observeSegment(SegmentKind::kParagraph,
+                       "doc" + std::to_string(i / 2) + "#p" +
+                           std::to_string(i % 2),
+                       "doc" + std::to_string(i / 2), "svc", secrets[i]);
+    }
     for (std::size_t p = 0; p < probes.size(); ++p) {
-      EXPECT_EQ(dump(t.checkText(probes[p], "probe-doc")), expected[p])
+      EXPECT_EQ(dump(t.checkText(probes[p], "probe-doc")), golden[p])
           << "shards=" << shards << " probe=" << p;
     }
   }
@@ -117,15 +137,14 @@ TEST_F(ShardedTrackerTest, Utf8ContentRoutesIdenticallyAcrossShardCounts) {
               "\xF0\x9F\x91\xA8\xE2\x80\x8D\xF0\x9F\x91\xA9 plan ";
     secret += std::to_string(i);
   }
-  util::LogicalClock refClock;
-  FlowTracker reference(TrackerConfig{}, &refClock);
+  FlowTracker reference = makeTracker(1);
   reference.observeSegment(SegmentKind::kParagraph, "u#p0", "u", "svc",
                            secret);
   const std::string expected = dump(reference.checkText(secret, "probe"));
   ASSERT_FALSE(expected.empty());
 
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    ShardedFlowTracker t = makeSharded(shards);
+  for (std::size_t shards : kShardCounts) {
+    FlowTracker t = makeTracker(shards);
     t.observeSegment(SegmentKind::kParagraph, "u#p0", "u", "svc", secret);
     EXPECT_EQ(dump(t.checkText(secret, "probe")), expected)
         << "shards=" << shards;
@@ -136,19 +155,16 @@ TEST_F(ShardedTrackerTest, DocumentObservationIdenticalAcrossShardCounts) {
   const std::string doc = paragraph() + "\n\n" + paragraph() + "\n\n" +
                           paragraph();
   const std::string copiedParagraph = doc.substr(0, doc.find("\n\n"));
+  // Recorded from the single-writer tracker before shards were folded in.
+  const std::string golden = "2|0|notes/a#p0|notes/a|notes|1|88|88|0.5\n";
 
-  util::LogicalClock refClock;
-  FlowTracker reference(TrackerConfig{}, &refClock);
-  const auto refObs = reference.observeDocument("notes/a", "notes", doc);
-  const std::string expected = dump(reference.checkText(copiedParagraph, "b"));
-  ASSERT_FALSE(expected.empty());
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    ShardedFlowTracker t = makeSharded(shards);
+  for (std::size_t shards : kShardCounts) {
+    FlowTracker t = makeTracker(shards);
     const auto obs = t.observeDocument("notes/a", "notes", doc);
-    EXPECT_EQ(obs.document, refObs.document) << "shards=" << shards;
-    EXPECT_EQ(obs.paragraphs, refObs.paragraphs) << "shards=" << shards;
-    EXPECT_EQ(dump(t.checkText(copiedParagraph, "b")), expected)
+    EXPECT_EQ(obs.document, 1u) << "shards=" << shards;
+    EXPECT_EQ(obs.paragraphs, (std::vector<SegmentId>{2, 3, 4}))
+        << "shards=" << shards;
+    EXPECT_EQ(dump(t.checkText(copiedParagraph, "b")), golden)
         << "shards=" << shards;
   }
 }
@@ -157,32 +173,25 @@ TEST_F(ShardedTrackerTest, PairwiseAndAttributionMatchUnsharded) {
   const std::string src = paragraph();
   const std::string probe = src + " " + paragraph();
 
-  util::LogicalClock refClock;
-  FlowTracker reference(TrackerConfig{}, &refClock);
-  const SegmentId refId = reference.observeSegment(
-      SegmentKind::kParagraph, "s#p0", "s", "svc", src);
-  const text::Fingerprint refFp = reference.fingerprintOf(probe);
-
-  ShardedFlowTracker t = makeSharded(4);
-  const SegmentId id =
-      t.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", src);
-  ASSERT_EQ(id, refId);
-
-  const text::Fingerprint fp = t.fingerprintOf(probe);
-  EXPECT_EQ(t.attributeDisclosure(id, fp),
-            reference.attributeDisclosure(refId, refFp));
-
-  const SegmentId refId2 = reference.observeSegment(
-      SegmentKind::kParagraph, "t#p0", "t", "svc", probe);
-  const SegmentId id2 =
-      t.observeSegment(SegmentKind::kParagraph, "t#p0", "t", "svc", probe);
-  ASSERT_EQ(id2, refId2);
-  EXPECT_DOUBLE_EQ(t.pairwiseDisclosure(id, id2),
-                   reference.pairwiseDisclosure(refId, refId2));
+  for (std::size_t shards : kShardCounts) {
+    FlowTracker t = makeTracker(shards);
+    const SegmentId id =
+        t.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", src);
+    ASSERT_EQ(id, 1u);
+    // Recorded from the single-writer tracker before shards were folded in.
+    EXPECT_EQ(dumpRanges(t.attributeDisclosure(id, t.fingerprintOf(probe))),
+              "15-1033;")
+        << "shards=" << shards;
+    const SegmentId id2 =
+        t.observeSegment(SegmentKind::kParagraph, "t#p0", "t", "svc", probe);
+    ASSERT_EQ(id2, 2u);
+    EXPECT_DOUBLE_EQ(t.pairwiseDisclosure(id, id2), 1.0)
+        << "shards=" << shards;
+  }
 }
 
 TEST_F(ShardedTrackerTest, SameDocumentSourcesExcluded) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   const std::string text = paragraph();
   t.observeSegment(SegmentKind::kParagraph, "doc#p0", "doc", "svc", text);
   EXPECT_TRUE(t.checkText(text, "doc").empty());
@@ -190,7 +199,7 @@ TEST_F(ShardedTrackerTest, SameDocumentSourcesExcluded) {
 }
 
 TEST_F(ShardedTrackerTest, RemoveAndRethresholdFanOut) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   const std::string text = paragraph();
   const SegmentId id =
       t.observeSegment(SegmentKind::kParagraph, "r#p0", "r", "svc", text);
@@ -204,13 +213,42 @@ TEST_F(ShardedTrackerTest, RemoveAndRethresholdFanOut) {
 
   t.removeSegmentByName("r#p0");
   EXPECT_TRUE(t.checkText(text, "probe").empty());
-  EXPECT_FALSE(t.segmentCopy(id).has_value());
+  EXPECT_EQ(t.segment(id), nullptr);
+}
+
+TEST_F(ShardedTrackerTest, RepeatedQueriesHitTheDecisionCache) {
+  // The per-keystroke fast path (paper S6.2) at every shard count: an
+  // unchanged segment is answered from the cache, an edit recomputes.
+  const std::string secret = paragraph();
+  const std::string copy = secret + " " + paragraph();
+  for (std::size_t shards : kShardCounts) {
+    FlowTracker t = makeTracker(shards);
+    t.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", secret);
+    const SegmentId id =
+        t.observeSegment(SegmentKind::kParagraph, "c#p0", "c", "svc", copy);
+    const std::string first = dump(t.sourcesForSegment(id));
+    ASSERT_FALSE(first.empty()) << "shards=" << shards;
+    const TrackerStats before = t.stats();
+    EXPECT_EQ(dump(t.sourcesForSegment(id)), first) << "shards=" << shards;
+    EXPECT_EQ(dump(t.sourcesForSegment(id)), first) << "shards=" << shards;
+    EXPECT_EQ(t.stats().cacheHits, before.cacheHits + 2)
+        << "shards=" << shards;
+    EXPECT_EQ(t.stats().cacheMisses, before.cacheMisses)
+        << "shards=" << shards;
+
+    // An edit that drops the copied passage invalidates the entry.
+    t.observeSegment(SegmentKind::kParagraph, "c#p0", "c", "svc",
+                     paragraph());
+    EXPECT_TRUE(t.sourcesForSegment(id).empty()) << "shards=" << shards;
+    EXPECT_EQ(t.stats().cacheMisses, before.cacheMisses + 1)
+        << "shards=" << shards;
+  }
 }
 
 // ---- Tenancy ---------------------------------------------------------------
 
 TEST_F(ShardedTrackerTest, TenantsNeverSeeEachOthersHits) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   const std::string shared = paragraph();
   // The SAME text observed by two tenants and by the default tenant.
   t.observeSegment(SegmentKind::kParagraph, "a#p0", "a", "svc", shared,
@@ -237,7 +275,7 @@ TEST_F(ShardedTrackerTest, TenantsNeverSeeEachOthersHits) {
 }
 
 TEST_F(ShardedTrackerTest, TenantNamespacesAreIndependent) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   const std::string textA = paragraph();
   const std::string textB = paragraph();
   // The SAME caller-visible name in two tenants refers to two segments.
@@ -254,7 +292,7 @@ TEST_F(ShardedTrackerTest, TenantNamespacesAreIndependent) {
 }
 
 TEST_F(ShardedTrackerTest, TenantThresholdDefaultsApply) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   TenantConfig strict;
   strict.paragraphThreshold = 0.99;
   t.setTenantConfig(1, strict);
@@ -272,7 +310,7 @@ TEST_F(ShardedTrackerTest, TenantThresholdDefaultsApply) {
 }
 
 TEST_F(ShardedTrackerTest, SegmentQuotaEvictsOldestFirst) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   TenantConfig quota;
   quota.maxSegments = 2;
   t.setTenantConfig(1, quota);
@@ -293,14 +331,14 @@ TEST_F(ShardedTrackerTest, SegmentQuotaEvictsOldestFirst) {
 }
 
 TEST_F(ShardedTrackerTest, ByteQuotaEvictsButProtectsNewestObservation) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   const std::string first = paragraph();
   t.observeSegment(SegmentKind::kParagraph, "b#p0", "b", "svc", first,
                    std::nullopt, /*tenant=*/1);
   const TenantUsage afterFirst = t.tenantUsage(1);
   ASSERT_GT(afterFirst.fingerprintBytes, 0u);
   EXPECT_EQ(afterFirst.fingerprintBytes,
-            afterFirst.fingerprintHashes * ShardedFlowTracker::kBytesPerHash);
+            afterFirst.fingerprintHashes * FlowTracker::kBytesPerHash);
 
   // A budget of exactly one fingerprint: the second observation evicts the
   // first...
@@ -327,7 +365,7 @@ TEST_F(ShardedTrackerTest, ByteQuotaEvictsButProtectsNewestObservation) {
 }
 
 TEST_F(ShardedTrackerTest, QuotaAccountingNeverCrossesTenants) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   TenantConfig quota;
   quota.maxSegments = 1;
   t.setTenantConfig(1, quota);
@@ -354,7 +392,7 @@ TEST_F(ShardedTrackerTest, QuotaAccountingNeverCrossesTenants) {
 }
 
 TEST_F(ShardedTrackerTest, StatsSumAcrossShards) {
-  ShardedFlowTracker t = makeSharded(4);
+  FlowTracker t = makeTracker(4);
   t.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", paragraph());
   const TrackerStats before = t.stats();
   (void)t.checkText(paragraph(), "probe");
@@ -362,10 +400,9 @@ TEST_F(ShardedTrackerTest, StatsSumAcrossShards) {
 }
 
 TEST_F(ShardedTrackerTest, RebuildFromShardsRestoresFacadeState) {
-  // Simulates the post-recovery path: a second facade over the same shard
-  // stores (here: the same facade, rebuilt in place) must answer queries
-  // and continue id assignment exactly as before.
-  ShardedFlowTracker t = makeSharded(4);
+  // The post-recovery path: the index rebuilt from the shard stores must
+  // answer queries and continue id assignment exactly as before.
+  FlowTracker t = makeTracker(4);
   const std::string text1 = paragraph();
   const std::string text2 = paragraph();
   const SegmentId a = t.observeSegment(SegmentKind::kParagraph, "a#p0", "a",
@@ -373,7 +410,7 @@ TEST_F(ShardedTrackerTest, RebuildFromShardsRestoresFacadeState) {
   t.observeSegment(SegmentKind::kParagraph, "b#p0", "b", "svc", text2);
   const TenantUsage before = t.tenantUsage(1);
 
-  t.rebuildFromShards();
+  t.rebuildIndex();
 
   EXPECT_EQ(t.tenantUsage(1).segments, before.segments);
   EXPECT_EQ(t.tenantUsage(1).fingerprintBytes, before.fingerprintBytes);

@@ -1,5 +1,6 @@
-// Tests for ShardedDurabilityManager (DESIGN.md §16): one WAL + checkpoint
-// generation chain per shard, per-shard recovery, facade rebuild.
+// Tests for DurabilityManager over a sharded FlowTracker (DESIGN.md §16):
+// one WAL + checkpoint generation chain per shard, per-shard recovery,
+// index rebuild, and a directory layout tied to the shard count.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -10,9 +11,9 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
-#include "flow/sharded_tracker.h"
-#include "flow/sharded_wal.h"
 #include "flow/snapshot.h"
+#include "flow/tracker.h"
+#include "flow/wal.h"
 #include "io/vfs.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -47,22 +48,23 @@ class ShardedWalTest : public ::testing::Test {
     (void)std::system(("rm -rf '" + dir_ + "'").c_str());
   }
 
-  ShardedFlowTracker makeTracker(util::Clock* clock) {
-    ShardedTrackerConfig cfg;
-    cfg.shards = kShards;
-    return ShardedFlowTracker(cfg, clock);
+  static FlowTracker makeTracker(util::Clock* clock,
+                                 std::size_t shards = kShards) {
+    TrackerConfig cfg;
+    cfg.shards = shards;
+    return FlowTracker(cfg, clock);
   }
 
-  ShardedDurabilityConfig configFor() {
-    ShardedDurabilityConfig cfg;
-    cfg.base.directory = dir_;
-    cfg.base.checkpointEveryRecords = 1u << 30;
+  DurabilityConfig configFor() {
+    DurabilityConfig cfg;
+    cfg.directory = dir_;
+    cfg.checkpointEveryRecords = 1u << 30;
     return cfg;
   }
 
-  static void detachAll(ShardedFlowTracker& t) {
+  static void detachAll(FlowTracker& t) {
     for (std::size_t k = 0; k < t.shardCount(); ++k) {
-      t.shard(k).attachWal(nullptr);
+      t.attachWal(nullptr, k);
     }
   }
 
@@ -73,23 +75,49 @@ class ShardedWalTest : public ::testing::Test {
 };
 
 TEST_F(ShardedWalTest, ShardDirectoryNaming) {
-  EXPECT_EQ(ShardedDurabilityManager::shardDirectory("/x", 0), "/x/shard-00");
-  EXPECT_EQ(ShardedDurabilityManager::shardDirectory("/x", 7), "/x/shard-07");
-  EXPECT_EQ(ShardedDurabilityManager::shardDirectory("/x", 15),
-            "/x/shard-15");
+  EXPECT_EQ(DurabilityManager::shardDirectory("/x", 0), "/x/shard-00");
+  EXPECT_EQ(DurabilityManager::shardDirectory("/x", 7), "/x/shard-07");
+  EXPECT_EQ(DurabilityManager::shardDirectory("/x", 15), "/x/shard-15");
 }
 
 TEST_F(ShardedWalTest, ShardCountMismatchIsAnError) {
-  ShardedFlowTracker tracker = makeTracker(&clock_);
-  ShardedDurabilityManager mgr(configFor(), kShards + 1);
-  auto r = mgr.recoverAndAttach(tracker);
-  EXPECT_FALSE(r.ok());
+  // A state directory written at one shard count routes hashes to the
+  // wrong shards at another: recovery must refuse it, in either direction.
+  {
+    FlowTracker tracker = makeTracker(&clock_);
+    DurabilityManager mgr(configFor());
+    ASSERT_TRUE(mgr.recoverAndAttach(tracker).ok());
+    detachAll(tracker);
+  }
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, kShards + 1}) {
+    util::LogicalClock clock;
+    FlowTracker tracker = makeTracker(&clock, shards);
+    DurabilityManager mgr(configFor());
+    auto r = mgr.recoverAndAttach(tracker);
+    EXPECT_FALSE(r.ok()) << "shards=" << shards;
+    detachAll(tracker);
+  }
+  // A single-shard (flat) directory does not load into a sharded tracker.
+  (void)std::system(("rm -rf '" + dir_ + "'").c_str());
+  {
+    util::LogicalClock clock;
+    FlowTracker flat = makeTracker(&clock, 1);
+    DurabilityManager mgr(configFor());
+    ASSERT_TRUE(mgr.recoverAndAttach(flat).ok());
+    detachAll(flat);
+  }
+  util::LogicalClock clock;
+  FlowTracker tracker = makeTracker(&clock);
+  DurabilityManager mgr(configFor());
+  EXPECT_FALSE(mgr.recoverAndAttach(tracker).ok());
+  detachAll(tracker);
 }
 
 TEST_F(ShardedWalTest, RecoveryReproducesEveryShardAndTheFacade) {
-  ShardedFlowTracker tracker = makeTracker(&clock_);
-  ShardedDurabilityManager mgr(configFor(), kShards);
+  FlowTracker tracker = makeTracker(&clock_);
+  DurabilityManager mgr(configFor());
   ASSERT_TRUE(mgr.recoverAndAttach(tracker).ok());
+  ASSERT_EQ(mgr.shardCount(), kShards);
 
   // A mixed-tenant workload: observes, a removal, a threshold change.
   std::vector<std::string> texts;
@@ -102,12 +130,12 @@ TEST_F(ShardedWalTest, RecoveryReproducesEveryShardAndTheFacade) {
   tracker.removeSegmentByName("w#p2", /*tenant=*/0);
   ASSERT_TRUE(tracker.setSegmentThreshold("w#p1", 0.7, /*tenant=*/1));
   for (std::size_t k = 0; k < kShards; ++k) {
-    ASSERT_TRUE(mgr.shard(k).wal().sync().ok());
+    ASSERT_TRUE(mgr.wal(k).sync().ok());
   }
 
   std::vector<std::string> shardStates;
   for (std::size_t k = 0; k < kShards; ++k) {
-    shardStates.push_back(exportState(tracker.shard(k)));
+    shardStates.push_back(exportState(tracker, k));
   }
   const auto liveHits0 = tracker.checkText(texts[4], "probe");  // tenant 0
   const auto liveHits1 = tracker.checkText(texts[3], "probe", 1);
@@ -115,24 +143,24 @@ TEST_F(ShardedWalTest, RecoveryReproducesEveryShardAndTheFacade) {
   ASSERT_FALSE(liveHits1.empty());
   const TenantUsage liveUsage = tracker.tenantUsage(1);
 
-  // Crash; recover into a fresh facade.
+  // Crash; recover into a fresh tracker.
   detachAll(tracker);
   util::LogicalClock clock2;
-  ShardedFlowTracker restored = makeTracker(&clock2);
-  ShardedDurabilityManager mgr2(configFor(), kShards);
+  FlowTracker restored = makeTracker(&clock2);
+  DurabilityManager mgr2(configFor());
   auto stats = mgr2.recoverAndAttach(restored);
   ASSERT_TRUE(stats.ok()) << stats.errorMessage();
   clock2.advanceTo(stats.value().maxTimestamp + 1);
   detachAll(restored);
 
-  ASSERT_EQ(stats.value().shards.size(), kShards);
+  ASSERT_EQ(stats.value().shardSequences.size(), kShards);
   EXPECT_GT(stats.value().replayedRecords, 0u);
   for (std::size_t k = 0; k < kShards; ++k) {
-    EXPECT_EQ(exportState(restored.shard(k)), shardStates[k])
+    EXPECT_EQ(exportState(restored, k), shardStates[k])
         << "shard " << k << " diverged across recovery";
   }
 
-  // The rebuilt facade answers the same queries and accounts the same.
+  // The rebuilt index answers the same queries and accounts the same.
   const auto hits0 = restored.checkText(texts[4], "probe");
   ASSERT_EQ(hits0.size(), liveHits0.size());
   EXPECT_EQ(hits0[0].sourceName, liveHits0[0].sourceName);
@@ -147,45 +175,34 @@ TEST_F(ShardedWalTest, RecoveryReproducesEveryShardAndTheFacade) {
   EXPECT_TRUE(restored.checkText(texts[2], "probe").empty());
 }
 
+TEST_F(ShardedWalTest, SingleShardKeepsTheFlatLayout) {
+  FlowTracker tracker = makeTracker(&clock_, 1);
+  DurabilityManager mgr(configFor());
+  ASSERT_TRUE(mgr.recoverAndAttach(tracker).ok());
+  tracker.observeSegment(SegmentKind::kParagraph, "f#p0", "f", "svc",
+                         gen_.paragraph(4, 6));
+  ASSERT_TRUE(mgr.checkpoint(tracker).ok());
+  EXPECT_GE(countFiles(dir_, ".bfc"), 1);
+  EXPECT_GE(countFiles(dir_, ".bfw"), 1);
+  for (const std::string& name : io::defaultVfs().listDir(dir_)) {
+    EXPECT_EQ(name.rfind("shard-", 0), std::string::npos) << name;
+  }
+  detachAll(tracker);
+}
+
 TEST_F(ShardedWalTest, CheckpointAllRotatesEveryShard) {
-  ShardedFlowTracker tracker = makeTracker(&clock_);
-  ShardedDurabilityManager mgr(configFor(), kShards);
+  FlowTracker tracker = makeTracker(&clock_);
+  DurabilityManager mgr(configFor());
   ASSERT_TRUE(mgr.recoverAndAttach(tracker).ok());
   tracker.observeSegment(SegmentKind::kParagraph, "c#p0", "c", "svc",
                          gen_.paragraph(4, 6));
-  ASSERT_TRUE(mgr.checkpointAll(tracker).ok());
+  ASSERT_TRUE(mgr.checkpoint(tracker).ok());
   for (std::size_t k = 0; k < kShards; ++k) {
-    const std::string d = ShardedDurabilityManager::shardDirectory(dir_, k);
+    const std::string d = DurabilityManager::shardDirectory(dir_, k);
     EXPECT_GE(countFiles(d, ".bfc"), 1) << d;
     EXPECT_GE(countFiles(d, ".bfw"), 1) << d;
   }
   EXPECT_TRUE(mgr.healthy());
-  detachAll(tracker);
-}
-
-TEST_F(ShardedWalTest, PerShardCheckpointCadenceOverride) {
-  ShardedDurabilityConfig cfg = configFor();
-  // Shard 0 checkpoints after every record; the others effectively never.
-  cfg.checkpointEveryRecordsPerShard = {1};
-  ShardedFlowTracker tracker = makeTracker(&clock_);
-  ShardedDurabilityManager mgr(cfg, kShards);
-  ASSERT_TRUE(mgr.recoverAndAttach(tracker).ok());
-
-  tracker.observeSegment(SegmentKind::kParagraph, "o#p0", "o", "svc",
-                         gen_.paragraph(4, 6));
-  ASSERT_TRUE(mgr.maintain(tracker).ok());
-
-  // Recovery wrote checkpoint-<0> everywhere; only shard 0's cadence has
-  // fired since.
-  EXPECT_GE(countFiles(ShardedDurabilityManager::shardDirectory(dir_, 0),
-                       ".bfc"),
-            2);
-  for (std::size_t k = 1; k < kShards; ++k) {
-    EXPECT_EQ(countFiles(ShardedDurabilityManager::shardDirectory(dir_, k),
-                         ".bfc"),
-              1)
-        << "shard " << k;
-  }
   detachAll(tracker);
 }
 

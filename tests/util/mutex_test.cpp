@@ -69,59 +69,6 @@ TEST(MutexTest, CondVarHandsOffThroughTheMutex) {
   producer.join();
 }
 
-TEST(SharedMutexTest, ExclusiveLockExcludesEverything) {
-  SharedMutex mu;
-  mu.lock();
-  EXPECT_FALSE(mu.try_lock());
-  mu.unlock();
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
-}
-
-TEST(SharedMutexTest, ReadersRunConcurrently) {
-  // Two readers must be able to hold the lock at the same time: reader A
-  // blocks until reader B has ALSO acquired a shared hold, which would
-  // deadlock on an exclusive-only lock.
-  SharedMutex mu;
-  std::atomic<int> insideReaders{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&] {
-      SharedReaderLock lock(mu);
-      insideReaders.fetch_add(1);
-      while (insideReaders.load() < 2) std::this_thread::yield();
-    });
-  }
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(insideReaders.load(), 2);
-}
-
-TEST(SharedMutexTest, WriterSerialisesWithReadersAndWriters) {
-  SharedMutex mu;
-  long counter = 0;
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {  // writers
-      for (int i = 0; i < 5000; ++i) {
-        SharedMutexLock lock(mu);
-        ++counter;
-      }
-    });
-    threads.emplace_back([&] {  // readers: consistent double-read
-      for (int i = 0; i < 5000; ++i) {
-        SharedReaderLock lock(mu);
-        const long a = counter;
-        const long b = counter;
-        if (a != b) mismatch.store(true);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, 10000);
-  EXPECT_FALSE(mismatch.load());
-}
-
 #if BF_LOCK_RANK_CHECKS
 
 struct CapturedViolation {
@@ -213,41 +160,6 @@ TEST_F(LockRankTest, OutOfOrderReleaseKeepsBookkeepingStraight) {
   }
   {
     MutexLock a(outer);
-  }
-  EXPECT_FALSE(g_captured.fired);
-}
-
-TEST_F(LockRankTest, SharedAcquisitionParticipatesInTheHierarchy) {
-  // A reader hold is still a hold: taking the tracker's lock shared while
-  // holding an inner-ranked mutex is the same inversion as an exclusive
-  // acquisition would be.
-  Mutex inner(kRankMetrics, "MetricsRegistry.mutex_");
-  SharedMutex tracker(kRankTracker, "FlowTracker.mutex_");
-  {
-    MutexLock a(inner);
-    SharedReaderLock b(tracker);
-  }
-  ASSERT_TRUE(g_captured.fired);
-  EXPECT_EQ(g_captured.acquiredName, "FlowTracker.mutex_");
-}
-
-TEST_F(LockRankTest, RecursiveSharedAcquisitionIsFlagged) {
-  // lock_shared twice on one thread deadlocks the moment a writer queues
-  // between the two reads; the equal-rank rule catches it.
-  SharedMutex mu(kRankTracker, "FlowTracker.mutex_");
-  {
-    SharedReaderLock a(mu);
-    SharedReaderLock b(mu);
-  }
-  EXPECT_TRUE(g_captured.fired);
-}
-
-TEST_F(LockRankTest, SharedThenDescendIsClean) {
-  SharedMutex tracker(kRankTracker, "FlowTracker.mutex_");
-  Mutex metrics(kRankMetrics, "MetricsRegistry.mutex_");
-  {
-    SharedReaderLock a(tracker);
-    MutexLock b(metrics);  // tracker (40) -> metrics (80): descending, fine
   }
   EXPECT_FALSE(g_captured.fired);
 }
