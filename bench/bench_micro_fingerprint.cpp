@@ -108,6 +108,31 @@ void BM_HashDbLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_HashDbLookup)->Arg(100000)->Arg(1000000);
 
+void BM_HashDbRemoveSegment(benchmark::State& state) {
+  // Removes and re-adds one 50-hash segment per iteration in a table of
+  // `range(0)` hashes: removal touches only the segment's own
+  // associations, so the cost stays flat as the table grows.
+  flow::HashDb db;
+  util::Rng rng(5);
+  const std::size_t hashes = static_cast<std::size_t>(state.range(0));
+  for (std::size_t i = 0; i < hashes; ++i) {
+    db.recordObservation(rng.next() & 0xffffffff, (i / 50) + 1, i);
+  }
+  constexpr flow::SegmentId kSegment = 0xfeedu;
+  std::vector<std::uint64_t> own(50);
+  for (std::uint64_t& h : own) h = rng.next() & 0xffffffff;
+  util::Timestamp ts = hashes;
+  for (std::uint64_t h : own) db.recordObservation(h, kSegment, ts);
+  for (auto _ : state) {
+    db.removeSegment(kSegment);
+    ++ts;
+    for (std::uint64_t h : own) db.recordObservation(h, kSegment, ts);
+    benchmark::DoNotOptimize(db.associationCount());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HashDbRemoveSegment)->Arg(100000)->Arg(1000000);
+
 void BM_DisclosureQuery(benchmark::State& state) {
   // Full Algorithm 1 query against a DB of `range(0)` paragraphs, where the
   // probe overlaps one of them.

@@ -39,6 +39,17 @@ for preset in $PRESETS; do
     BF_STRESS_USERS=8 BF_STRESS_DECISIONS=50 \
       "build-tsan/bench/bench_stress_concurrency"
   fi
+  if [ "$preset" = "default" ] || [ "$preset" = "asan" ]; then
+    # HashDb against its reference model at a pinned seed, with more trials
+    # than the ctest default: eager removal's backward-shift deletion is
+    # checked on long, wrapping probe chains, under ASan too.
+    dir=build
+    if [ "$preset" = "asan" ]; then dir=build-asan; fi
+    echo "==> [$preset] HashDb reference-model test, fixed seed"
+    BF_HASHDB_MODEL_SEED=20261019 BF_HASHDB_MODEL_TRIALS=1000 \
+      "$dir/tests/flow_test" \
+      --gtest_filter='HashDbModelTest.MatchesReferenceModelUnderRandomOperations'
+  fi
   if [ "$preset" = "default" ]; then
     # Crash-recovery fuzz at a pinned seed: the same 500 corruption trials
     # on every machine and every run, so a red leg is a real regression in

@@ -16,15 +16,17 @@
 // without chasing node pointers. Hashes with multiple owners spill the rest
 // of their history into a pooled overflow vector.
 //
-// Segment removal is lazy (a dead set consulted by lookups) but bounded:
-// once the dead set exceeds a threshold, the store physically compacts the
-// dead associations and clears the set, so neither the tombstones nor the
-// per-lookup isDead probes accumulate forever.
+// Segment removal is eager and local: a per-segment reverse index lists the
+// hashes each segment holds an association for, so removeSegment touches
+// only that segment's own slots — no tombstones, no whole-table rebuild.
+// A slot left empty is vacated by backward-shift deletion, which keeps
+// every probe chain unbroken.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "flow/ids.h"
@@ -45,10 +47,6 @@ class HashDb {
     util::Timestamp lastSeen;
   };
 
-  /// Dead segments tolerated before removeSegment triggers a physical
-  /// compaction (see setDeadCompactionThreshold).
-  static constexpr std::size_t kDefaultDeadCompactionThreshold = 64;
-
   /// Records that `segment` contains `hash`, observed at `ts`. Idempotent
   /// per (hash, segment): re-observing keeps the original first-seen
   /// timestamp (provenance ordering never changes retroactively) but
@@ -58,12 +56,25 @@ class HashDb {
   void recordObservation(std::uint64_t hash, SegmentId segment,
                          util::Timestamp ts, util::Timestamp lastSeen = 0);
 
-  /// The oldest live segment associated with `hash`, or nullopt.
+  /// One association together with its hash, as snapshots store it.
+  struct StoredAssociation {
+    std::uint64_t hash;
+    SegmentId segment;
+    util::Timestamp firstSeen;
+    util::Timestamp lastSeen;
+  };
+
+  /// Bulk restore (snapshot import): recordObservation for each entry, but
+  /// the reverse index is built once at the end with every list allocated
+  /// at its final size, rather than grown one association at a time.
+  void restoreAssociations(std::span<const StoredAssociation> assocs);
+
+  /// The oldest segment associated with `hash`, or nullopt.
   /// This is "oldestParagraphWith(h, DBhash)" from Algorithm 1.
   [[nodiscard]] std::optional<SegmentId> oldestSegmentWith(
       std::uint64_t hash) const;
 
-  /// All live segments associated with `hash`, oldest first.
+  /// All segments associated with `hash`, oldest first.
   [[nodiscard]] std::vector<SegmentId> segmentsWith(std::uint64_t hash) const;
 
   /// First-seen timestamp of (hash, segment), or nullopt if unrecorded.
@@ -74,47 +85,28 @@ class HashDb {
   [[nodiscard]] std::optional<util::Timestamp> lastSeen(
       std::uint64_t hash, SegmentId segment) const;
 
-  /// Marks a segment dead: its associations are skipped by lookups and
-  /// physically removed by the next compaction (automatic once the dead
-  /// set exceeds the threshold). Increments the removal generation (used
-  /// by callers to invalidate authoritative-fingerprint caches).
+  /// Physically removes every association of `segment`, in time
+  /// proportional to that segment's own associations (stale ones from
+  /// earlier fingerprints included); unknown ids remove nothing. Increments
+  /// the removal generation (used by callers to invalidate
+  /// authoritative-fingerprint caches).
   void removeSegment(SegmentId segment);
 
-  /// Physically removes every association of a dead segment and clears
-  /// the dead set. Called automatically by removeSegment past the
-  /// threshold; public for tests and explicit maintenance. Returns the
-  /// number of associations dropped.
-  std::size_t compactDead();
-
-  /// Dead segments not yet physically purged.
-  [[nodiscard]] std::size_t deadSegmentCount() const noexcept {
-    return dead_.size();
-  }
-
-  /// Overrides the dead-segment compaction threshold (0 compacts on every
-  /// removal). Tests use small values; production keeps the default, which
-  /// amortises compaction cost over many removals.
-  void setDeadCompactionThreshold(std::size_t threshold) noexcept {
-    deadCompactionThreshold_ = threshold;
-  }
-
-  /// Drops all associations whose lastSeen < cutoff (and purges dead
-  /// ones). Implements the paper's "periodic removal of old fingerprints"
-  /// recommendation (S4.4). Retention keys on the most recent observation,
-  /// not firstSeen: a segment first seen long ago but re-observed seconds
-  /// ago is still hot and must survive the sweep. Returns the number of
-  /// associations dropped.
+  /// Drops all associations whose lastSeen < cutoff. Implements the
+  /// paper's "periodic removal of old fingerprints" recommendation (S4.4).
+  /// Retention keys on the most recent observation, not firstSeen: a
+  /// segment first seen long ago but re-observed seconds ago is still hot
+  /// and must survive the sweep. Returns the number of associations
+  /// dropped.
   std::size_t evictOlderThan(util::Timestamp cutoff);
 
-  /// Number of distinct hashes with at least one (possibly dead)
-  /// association. Benches use this to size the store (paper Fig. 13).
+  /// Number of distinct hashes with at least one association. Benches use
+  /// this to size the store (paper Fig. 13).
   [[nodiscard]] std::size_t distinctHashCount() const noexcept {
     return occupied_;
   }
 
-  /// Number of physically stored associations (memory accounting in
-  /// benches). Associations of removed segments are counted until the
-  /// next compaction purges them.
+  /// Number of stored associations (memory accounting in benches).
   [[nodiscard]] std::size_t associationCount() const noexcept {
     return storedAssociations_;
   }
@@ -125,20 +117,16 @@ class HashDb {
     return removalGeneration_;
   }
 
-  /// Applies fn(hash, segment, firstSeen, lastSeen) to every LIVE
-  /// association, in per-hash oldest-first order. Used by snapshot export.
+  /// Applies fn(hash, segment, firstSeen, lastSeen) to every association,
+  /// in per-hash oldest-first order. Used by snapshot export.
   template <typename Fn>
   void forEachAssociation(Fn&& fn) const {
     for (const Slot& slot : slots_) {
       if (!slot.used()) continue;
-      if (!isDead(slot.segment)) {
-        fn(slot.hash, slot.segment, slot.firstSeen, slot.lastSeen());
-      }
+      fn(slot.hash, slot.segment, slot.firstSeen, slot.lastSeen());
       if (slot.overflow != kNoOverflow) {
         for (const Association& a : overflow_[slot.overflow]) {
-          if (!isDead(a.segment)) {
-            fn(slot.hash, a.segment, a.firstSeen, a.lastSeen);
-          }
+          fn(slot.hash, a.segment, a.firstSeen, a.lastSeen);
         }
       }
     }
@@ -155,12 +143,12 @@ class HashDb {
   /// hash), so its size IS the read path's cache footprint — exactly 32
   /// bytes, two slots per cache line. That budget is held by packing the
   /// inline association: `segment == kInvalidSegment` doubles as the
-  /// empty-slot marker (slots are never individually vacated; only full
-  /// rebuilds reclaim them), and lastSeen is a saturating 32-bit delta
-  /// from firstSeen. A delta that overflows pins the association hot
-  /// (lastSeen() reports the max timestamp, so retention never evicts
-  /// it) — erring on retention is safe; the overflow-pool Associations
-  /// keep full 64-bit stamps.
+  /// empty-slot marker (removing a hash's last association vacates its
+  /// slot by backward shift, so there is no tombstone state), and lastSeen
+  /// is a saturating 32-bit delta from firstSeen. A delta that overflows
+  /// pins the association hot (lastSeen() reports the max timestamp, so
+  /// retention never evicts it) — erring on retention is safe; the
+  /// overflow-pool Associations keep full 64-bit stamps.
   struct Slot {
     static constexpr std::uint32_t kDeltaSaturated = 0xffffffffu;
 
@@ -198,20 +186,45 @@ class HashDb {
                 "Slot is the per-query cache footprint; keep it at two "
                 "slots per cache line");
 
-  [[nodiscard]] bool isDead(SegmentId s) const {
-    return !dead_.empty() && dead_.count(s) != 0;
-  }
+  /// Slot where a linear probe for `hash` starts.
+  [[nodiscard]] std::size_t home(std::uint64_t hash) const noexcept;
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.
   [[nodiscard]] std::size_t probe(std::uint64_t hash) const noexcept;
 
+  /// Empties slot `hole` and shifts later members of its probe cluster
+  /// back so every remaining hash stays reachable from its home slot
+  /// (Knuth 6.4, Algorithm R).
+  void vacate(std::size_t hole) noexcept;
+
+  /// recordObservation without the reverse-index update. Returns true when
+  /// it created a new (hash, segment) association.
+  bool recordAssociation(std::uint64_t hash, SegmentId segment,
+                         util::Timestamp ts, util::Timestamp lastSeen);
+
+  /// Removes the (hash, segment) association, if stored.
+  void removeAssociation(std::uint64_t hash, SegmentId segment);
+
+  /// Pool index of `segment`'s reverse-index list, created on first use.
+  /// Consecutive calls for one segment (an observation records all its
+  /// hashes in a row) pay a single map lookup.
+  std::uint32_t listOf(SegmentId segment);
+
+  /// Appends `hash` to `segment`'s reverse-index list.
+  void indexAssociation(SegmentId segment, std::uint64_t hash);
+
+  /// Rebuilds the reverse index from the table in two passes, sizing every
+  /// list exactly before filling it.
+  void rebuildIndex();
+
   /// Ensures capacity for one more distinct hash (grows + rehashes at
   /// ~70% load).
   void reserveForInsert();
 
-  /// Rebuilds the table keeping only associations for which `keep` returns
-  /// true. Returns the number of associations dropped.
+  /// Rebuilds the table and the reverse index keeping only associations
+  /// for which `keep` returns true, allocating the final power-of-two table
+  /// once. Returns the number of associations dropped.
   template <typename Keep>
   std::size_t rebuildFiltered(Keep&& keep);
 
@@ -220,8 +233,22 @@ class HashDb {
   std::size_t occupied_ = 0;
   std::vector<std::vector<Association>> overflow_;
   std::vector<std::uint32_t> overflowFree_;  // recyclable overflow_ indices
-  std::unordered_set<SegmentId> dead_;
-  std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
+  /// The hashes one segment holds an association for. Hashes that fit in
+  /// 32 bits (the default fingerprint width) are kept narrow, which halves
+  /// the index.
+  struct SegmentHashes {
+    std::vector<std::uint32_t> narrow;
+    std::vector<std::uint64_t> wide;
+  };
+
+  // Reverse index: segment -> its SegmentHashes, pooled like the overflow
+  // histories. Exact: a list gains a hash when an association is created
+  // and loses it only when the association goes.
+  std::unordered_map<SegmentId, std::uint32_t> segmentList_;
+  std::vector<SegmentHashes> segmentHashes_;
+  std::vector<std::uint32_t> segmentHashesFree_;  // recyclable list indices
+  SegmentId lastIndexed_ = kInvalidSegment;  // one-entry lookup cache
+  std::uint32_t lastIndexedList_ = 0;
   std::size_t storedAssociations_ = 0;
   std::uint64_t removalGeneration_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "crypto/chacha20.h"
@@ -70,6 +71,19 @@ void appendStateBody(const FlowTracker& tracker, std::size_t shard,
             [](const SegmentRecord* a, const SegmentRecord* b) {
               return a->id < b->id;
             });
+  // Size the body up front: growing a multi-megabyte string by doubling
+  // holds two copies at once on every checkpoint. Per segment: 9 fixed
+  // words plus the kind byte, the three strings and 12 bytes per gram; per
+  // association 4 words; 3 count words; 4 bytes for exportStateV2's CRC.
+  std::size_t bytes = 3 * 8 + 4;
+  for (const SegmentRecord* rec : segments) {
+    bytes += 9 * 8 + 1 + rec->name.size() + rec->document.size() +
+             rec->service.size() + 12 * rec->fingerprint.grams().size();
+  }
+  for (SegmentKind kind : {SegmentKind::kParagraph, SegmentKind::kDocument}) {
+    bytes += 4 * 8 * tracker.hashDb(kind, shard).associationCount();
+  }
+  out.reserve(out.size() + bytes);
   util::putU64(out, segments.size());
   for (const SegmentRecord* rec : segments) {
     util::putU64(out, rec->id);
@@ -99,6 +113,7 @@ void appendStateBody(const FlowTracker& tracker, std::size_t shard,
       util::Timestamp lastSeen;
     };
     std::vector<Assoc> assocs;
+    assocs.reserve(tracker.hashDb(kind, shard).associationCount());
     tracker.hashDb(kind, shard).forEachAssociation(
         [&](std::uint64_t hash, SegmentId segment, util::Timestamp ts,
             util::Timestamp lastSeen) {
@@ -120,15 +135,10 @@ void appendStateBody(const FlowTracker& tracker, std::size_t shard,
 
 /// Fully parsed, validated state waiting to be applied (all-or-nothing).
 struct StagedState {
-  struct Assoc {
-    SegmentKind kind;
-    std::uint64_t hash;
-    SegmentId segment;
-    util::Timestamp ts;
-    util::Timestamp lastSeen;
-  };
   std::vector<SegmentRecord> segments;
-  std::vector<Assoc> assocs;
+  /// Paragraph-kind associations, then document-kind ones.
+  std::vector<HashDb::StoredAssociation> assocs;
+  std::size_t paragraphAssocs = 0;
   util::Timestamp maxTs = 0;
 };
 
@@ -196,7 +206,10 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
       const util::Timestamp ts = r.u64();
       const util::Timestamp lastSeen = version >= 3 ? r.u64() : ts;
       staged.maxTs = std::max({staged.maxTs, ts, lastSeen});
-      staged.assocs.push_back({kind, hash, segment, ts, lastSeen});
+      staged.assocs.push_back({hash, segment, ts, lastSeen});
+    }
+    if (kind == SegmentKind::kParagraph) {
+      staged.paragraphAssocs = staged.assocs.size();
     }
   }
 
@@ -331,10 +344,11 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
   for (SegmentRecord& rec : staged.segments) {
     tracker.restoreSegment(std::move(rec), shard);
   }
-  for (const StagedState::Assoc& a : staged.assocs) {
-    tracker.restoreAssociation(a.kind, a.hash, a.segment, a.ts, a.lastSeen,
-                               shard);
-  }
+  const std::span<const HashDb::StoredAssociation> assocs(staged.assocs);
+  tracker.restoreAssociations(SegmentKind::kParagraph,
+                              assocs.first(staged.paragraphAssocs), shard);
+  tracker.restoreAssociations(SegmentKind::kDocument,
+                              assocs.subspan(staged.paragraphAssocs), shard);
   tracker.rebuildIndex();
   return info;
 }
@@ -372,7 +386,12 @@ util::Status saveSnapshot(const FlowTracker& tracker, const std::string& path,
           static_cast<std::uint8_t>(n2 >> (8 * i));
     }
     fileData.append(reinterpret_cast<const char*>(nonce.data()), nonce.size());
-    fileData += crypto::chacha20Xor(blob, deriveKey(secret), nonce);
+    const std::string ciphertext =
+        crypto::chacha20Xor(blob, deriveKey(secret), nonce);
+    blob = std::string();  // at most two copies of the state at once
+    fileData.reserve(fileData.size() + ciphertext.size() +
+                     sizeof(crypto::Tag128));
+    fileData += ciphertext;
     // Encrypt-then-MAC: the tag covers magic, nonce and ciphertext, so any
     // bit flip anywhere in the envelope fails verification BEFORE the
     // malleable stream cipher could smuggle altered plaintext to the

@@ -947,8 +947,8 @@ void FlowTracker::restoreAssociation(SegmentKind kind, std::uint64_t hash,
                                      util::Timestamp firstSeen,
                                      util::Timestamp lastSeen,
                                      std::size_t shard) {
-  // Called once per association during snapshot import; the store gauges
-  // are refreshed by restoreSegment / the next observation instead of here.
+  // Called once per association record during WAL replay; the store gauges
+  // are refreshed by the next observation instead of here.
   Shard& sh = *shards_[shard];
   util::MutexLock lock(sh.mutex);
   mutateStores(sh, [&](Stores& s, WriteAheadLog* wal) {
@@ -957,6 +957,23 @@ void FlowTracker::restoreAssociation(SegmentKind kind, std::uint64_t hash,
       wal->logAssociationAdded(kind, hash, segment, firstSeen, lastSeen);
     }
   });
+}
+
+void FlowTracker::restoreAssociations(
+    SegmentKind kind, std::span<const HashDb::StoredAssociation> assocs,
+    std::size_t shard) {
+  Shard& sh = *shards_[shard];
+  util::MutexLock lock(sh.mutex);
+  mutateStores(sh, [&](Stores& s, WriteAheadLog* wal) {
+    s.hashes[idx(kind)].restoreAssociations(assocs);
+    if (wal != nullptr) {
+      for (const HashDb::StoredAssociation& a : assocs) {
+        wal->logAssociationAdded(kind, a.hash, a.segment, a.firstSeen,
+                                 a.lastSeen);
+      }
+    }
+  });
+  refreshStoreGauges(sh);
 }
 
 void FlowTracker::replaySegmentObserved(SegmentRecord record,

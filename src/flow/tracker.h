@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -198,7 +199,7 @@ class FlowTracker {
       std::optional<double> documentThreshold = std::nullopt,
       TenantId tenant = kDefaultTenant);
 
-  /// Removes a segment (and its hash associations, lazily).
+  /// Removes a segment and all of its hash associations.
   void removeSegmentByName(std::string_view name,
                            TenantId tenant = kDefaultTenant);
   void removeSegment(SegmentId id);
@@ -371,6 +372,12 @@ class FlowTracker {
                           SegmentId segment, util::Timestamp firstSeen,
                           util::Timestamp lastSeen = 0,
                           std::size_t shard = 0);
+
+  /// Restores many hash associations of one kind under ONE writer section
+  /// (snapshot import); each is logged like restoreAssociation.
+  void restoreAssociations(
+      SegmentKind kind, std::span<const HashDb::StoredAssociation> assocs,
+      std::size_t shard = 0);
 
   /// Applies one WAL kSegmentObserved record: create-or-update the segment
   /// with the exact recorded ids, timestamps and fingerprint, recording the

@@ -103,10 +103,10 @@ TEST(PluginShardsTest, UploadReusesSuppressedParagraphLabel) {
 }
 
 TEST(PluginShardsTest, CrashRecoveryReproducesCheckTextAnswers) {
-  // Type and paste into a Docs tab through the simulated browser with a
-  // DurabilityManager attached, drop the plug-in without a checkpoint, and
-  // recover into a fresh one: tagged, typed and fresh probe texts must get
-  // the pre-crash answers, at every shard count.
+  // Type, paste and delete in a Docs tab through the simulated browser
+  // with a DurabilityManager attached, drop the plug-in without a
+  // checkpoint, and recover into a fresh one: tagged, typed and fresh
+  // probe texts must get the pre-crash answers, at every shard count.
   std::map<std::size_t, std::vector<std::string>> answers;
   for (std::size_t shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -144,6 +144,15 @@ TEST(PluginShardsTest, CrashRecoveryReproducesCheckTextAnswers) {
       docs.insertParagraph(0, std::string(taggedParas[0].text));  // paste
       docs.insertParagraph(1, "");
       docs.typeText(1, typed);
+      // Paste the second tagged paragraph, then delete it again: the
+      // removal must reach the logs and replay to the same answers.
+      docs.insertParagraph(2, std::string(taggedParas[1].text));
+      const std::string pastedName =
+          d.plugin.segmentNameOf(docs.paragraphNode(2));
+      ASSERT_FALSE(pastedName.empty());
+      ASSERT_NE(d.plugin.tracker().segmentByName(pastedName), nullptr);
+      docs.deleteParagraph(2);
+      ASSERT_EQ(d.plugin.tracker().segmentByName(pastedName), nullptr);
 
       probes = {std::string(taggedParas[0].text),
                 std::string(taggedParas[1].text), typed,

@@ -138,43 +138,40 @@ TEST(HashDb, RestorePathPassesExplicitLastSeen) {
   EXPECT_EQ(db.evictOlderThan(81), 1u);
 }
 
-TEST(HashDb, EvictPurgesDeadAssociations) {
+TEST(HashDb, RemovalVacatesHashImmediately) {
+  // Removal is physical at once: nothing is left for a later eviction
+  // sweep to purge.
   HashDb db;
   db.recordObservation(1, 1, 10);
   db.removeSegment(1);
-  db.evictOlderThan(0);  // cutoff 0 drops nothing by age, but purges dead
+  EXPECT_EQ(db.distinctHashCount(), 0u);
+  EXPECT_EQ(db.associationCount(), 0u);
+  EXPECT_EQ(db.evictOlderThan(0), 0u);
   EXPECT_EQ(db.distinctHashCount(), 0u);
 }
 
-TEST(HashDb, CompactDeadShrinksStore) {
-  // The tombstone fix: physically removing a dead segment's associations
-  // must shrink the store and clear the dead set, so lookups stop paying
-  // the isDead probe for segments removed long ago.
+TEST(HashDb, RemovalShrinksStoreImmediately) {
+  // Removing a segment drops its associations from the store right away,
+  // so lookups never pay for segments removed long ago.
   HashDb db;
   for (std::uint64_t h = 0; h < 100; ++h) {
     db.recordObservation(h, 1, 10);
     db.recordObservation(h, 2, 20);
   }
   ASSERT_EQ(db.associationCount(), 200u);
-  db.setDeadCompactionThreshold(1000);  // keep removal lazy for this test
   db.removeSegment(1);
-  EXPECT_EQ(db.deadSegmentCount(), 1u);
-  EXPECT_EQ(db.associationCount(), 200u);  // lazy: nothing purged yet
-
-  const std::size_t dropped = db.compactDead();
-  EXPECT_EQ(dropped, 100u);
   EXPECT_EQ(db.associationCount(), 100u);  // store physically shrank
-  EXPECT_EQ(db.deadSegmentCount(), 0u);    // tombstones cleared
+  EXPECT_EQ(db.distinctHashCount(), 100u);
   for (std::uint64_t h = 0; h < 100; ++h) {
     EXPECT_EQ(*db.oldestSegmentWith(h), 2u);
   }
-  // Compacting an already-clean store is a no-op.
-  EXPECT_EQ(db.compactDead(), 0u);
+  // Removing it again is a no-op.
+  db.removeSegment(1);
+  EXPECT_EQ(db.associationCount(), 100u);
 }
 
-TEST(HashDb, RemovalAutoCompactsPastThreshold) {
+TEST(HashDb, RemovalOfSeveralSegmentsLeavesOnlySurvivors) {
   HashDb db;
-  db.setDeadCompactionThreshold(2);
   for (std::uint64_t h = 0; h < 10; ++h) {
     db.recordObservation(h, 1, 10);
     db.recordObservation(h, 2, 20);
@@ -183,10 +180,8 @@ TEST(HashDb, RemovalAutoCompactsPastThreshold) {
   }
   db.removeSegment(1);
   db.removeSegment(2);
-  EXPECT_EQ(db.deadSegmentCount(), 2u);    // at the threshold: still lazy
-  EXPECT_EQ(db.associationCount(), 40u);
-  db.removeSegment(3);                     // exceeds it: compacts
-  EXPECT_EQ(db.deadSegmentCount(), 0u);
+  EXPECT_EQ(db.associationCount(), 20u);
+  db.removeSegment(3);
   EXPECT_EQ(db.associationCount(), 10u);   // only segment 4's remain
   EXPECT_EQ(db.distinctHashCount(), 10u);  // hashes 0..9 fully gone
   for (std::uint64_t h = 0; h < 10; ++h) {
@@ -195,28 +190,56 @@ TEST(HashDb, RemovalAutoCompactsPastThreshold) {
   }
 }
 
-TEST(HashDb, ZeroThresholdCompactsOnEveryRemoval) {
+TEST(HashDb, RemovalOfInlineOwnerPromotesOverflow) {
   HashDb db;
-  db.setDeadCompactionThreshold(0);
   db.recordObservation(1, 1, 10);
-  db.recordObservation(1, 2, 20);
+  db.recordObservation(1, 2, 20, /*lastSeen=*/60);
   db.removeSegment(1);
-  EXPECT_EQ(db.deadSegmentCount(), 0u);
   EXPECT_EQ(db.associationCount(), 1u);
   EXPECT_EQ(*db.oldestSegmentWith(1), 2u);
+  EXPECT_EQ(*db.firstSeen(1, 2), 20u);
+  EXPECT_EQ(*db.lastSeen(1, 2), 60u);  // stamps survive the promotion
 }
 
-TEST(HashDb, ObservationAfterCompactionRebuildsHistory) {
-  // A compacted-away segment can be re-observed later (e.g. restored from
-  // a snapshot or re-created under the same id) without tombstone residue.
+TEST(HashDb, ObservationAfterRemovalStartsFreshHistory) {
+  // A removed segment can be re-observed later (e.g. restored from a
+  // snapshot or re-created under the same id) without residue.
   HashDb db;
-  db.setDeadCompactionThreshold(0);
   db.recordObservation(1, 1, 10);
   db.removeSegment(1);
   ASSERT_FALSE(db.oldestSegmentWith(1).has_value());
   db.recordObservation(1, 1, 99);
   EXPECT_EQ(*db.oldestSegmentWith(1), 1u);
   EXPECT_EQ(*db.firstSeen(1, 1), 99u);  // fresh observation, fresh time
+}
+
+TEST(HashDb, RemovalCoversStaleAssociations) {
+  // A re-fingerprinted segment keeps the associations of its earlier
+  // fingerprints; removing it must drop those too.
+  HashDb db;
+  db.recordObservation(1, 7, 10);
+  db.recordObservation(2, 7, 10);
+  db.recordObservation(3, 7, 20);  // the segment's newer fingerprint
+  db.removeSegment(7);
+  EXPECT_EQ(db.distinctHashCount(), 0u);
+  EXPECT_EQ(db.associationCount(), 0u);
+}
+
+TEST(HashDb, RemovalKeepsCollidingHashesReachable) {
+  // Vacating a slot in the middle of a probe cluster must shift the rest
+  // of the cluster back, or later members become unreachable.
+  HashDb db;
+  for (std::uint64_t h = 0; h < 2000; ++h) db.recordObservation(h, h + 1, h);
+  for (std::uint64_t h = 0; h < 2000; h += 2) db.removeSegment(h + 1);
+  EXPECT_EQ(db.distinctHashCount(), 1000u);
+  for (std::uint64_t h = 0; h < 2000; ++h) {
+    if (h % 2 == 0) {
+      EXPECT_FALSE(db.oldestSegmentWith(h).has_value()) << h;
+    } else {
+      ASSERT_TRUE(db.oldestSegmentWith(h).has_value()) << h;
+      EXPECT_EQ(*db.oldestSegmentWith(h), h + 1) << h;
+    }
+  }
 }
 
 TEST(HashDb, ManyHashesSurviveRehashing) {

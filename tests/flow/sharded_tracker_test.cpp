@@ -5,6 +5,8 @@
 // a tenant boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -424,6 +426,101 @@ TEST_F(ShardedTrackerTest, RebuildFromShardsRestoresFacadeState) {
   const SegmentId fresh = t.observeSegment(SegmentKind::kParagraph, "c#p0",
                                            "c", "svc", paragraph());
   EXPECT_GT(fresh, a);
+}
+
+/// e2ebench's canonical answer form: every hit's source name, score and
+/// overlap, sorted — independent of segment ids and timestamps.
+std::string canonicalAnswer(const std::vector<DisclosureHit>& hits) {
+  std::vector<std::string> parts;
+  for (const DisclosureHit& h : hits) {
+    char score[32];
+    std::snprintf(score, sizeof(score), "%.9f", h.score);
+    parts.push_back(h.sourceName + "|" + score + "|" +
+                    std::to_string(h.overlap));
+  }
+  std::sort(parts.begin(), parts.end());
+  std::string out;
+  for (const std::string& p : parts) out += p + ";";
+  return out;
+}
+
+TEST_F(ShardedTrackerTest, RemovalLeavesTheStateOfNeverHavingObserved) {
+  // Tracker A observes a mix of segments and then removes some; tracker B
+  // observes the same mix without them. Removed segments are observed
+  // first for text the survivors share (so they own hashes the survivors
+  // inherit), and some segments are revised (so they carry stale
+  // associations of their earlier fingerprints). Every probe — tagged,
+  // revised and fresh — must then get the same answers from both.
+  struct Observation {
+    SegmentKind kind;
+    std::string name;
+    std::string document;
+    std::string text;
+    bool removed;
+  };
+  std::vector<std::string> texts;
+  for (int i = 0; i < 8; ++i) texts.push_back(paragraph());
+  // A revision: the first sentence swapped for a fresh one.
+  const auto revise = [&](const std::string& text) {
+    return gen_.sentence() + text.substr(text.find(". ") + 1);
+  };
+  const std::string revised0 = revise(texts[0]);
+  const std::string revised3 = revise(texts[3]);
+  const std::vector<Observation> mix = {
+      {SegmentKind::kParagraph, "r#p0", "r", texts[0], true},
+      {SegmentKind::kParagraph, "r#p1", "r", texts[1], true},
+      {SegmentKind::kDocument, "r", "r", texts[0] + "\n\n" + texts[1], true},
+      {SegmentKind::kParagraph, "s#p0", "s", texts[0], false},
+      {SegmentKind::kParagraph, "s#p1", "s", texts[2], false},
+      {SegmentKind::kDocument, "s", "s", texts[0] + "\n\n" + texts[2], false},
+      {SegmentKind::kParagraph, "r#p0", "r", revised0, true},
+      {SegmentKind::kParagraph, "t#p0", "t", texts[1] + " " + texts[3], false},
+      {SegmentKind::kParagraph, "u#p0", "u", texts[3], true},
+      {SegmentKind::kParagraph, "t#p0", "t", revised3, false},
+      {SegmentKind::kParagraph, "v#p0", "v", texts[4], false},
+      {SegmentKind::kParagraph, "w#p0", "w", texts[4] + " " + texts[5], true},
+      {SegmentKind::kDocument, "v", "v", texts[4] + "\n\n" + texts[5], false},
+  };
+  const std::vector<std::string> probes = {
+      texts[0], texts[1], texts[2], texts[3], texts[4], texts[5],
+      revised0, revised3, revise(texts[2]), revise(texts[4]),
+      texts[6], texts[7] + " " + texts[6]};
+
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    FlowTracker a = makeTracker(shards);
+    FlowTracker b = makeTracker(shards);
+    for (const Observation& o : mix) {
+      a.observeSegment(o.kind, o.name, o.document, "svc", o.text);
+      if (!o.removed) {
+        b.observeSegment(o.kind, o.name, o.document, "svc", o.text);
+      }
+    }
+    for (const Observation& o : mix) {
+      if (o.removed) a.removeSegmentByName(o.name);
+    }
+    std::size_t nonEmpty = 0;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const std::string want = canonicalAnswer(b.checkText(probes[i]));
+      EXPECT_EQ(canonicalAnswer(a.checkText(probes[i])), want) << "probe " << i;
+      const text::Fingerprint fp = b.fingerprintOf(probes[i]);
+      EXPECT_EQ(
+          canonicalAnswer(a.disclosedSources(fp, SegmentKind::kDocument)),
+          canonicalAnswer(b.disclosedSources(fp, SegmentKind::kDocument)))
+          << "document probe " << i;
+      if (!want.empty()) ++nonEmpty;
+    }
+    EXPECT_GE(nonEmpty, 6u);  // the probes do reach the survivors
+    for (SegmentKind kind : {SegmentKind::kParagraph, SegmentKind::kDocument}) {
+      std::size_t hashesA = 0;
+      std::size_t hashesB = 0;
+      for (std::size_t k = 0; k < shards; ++k) {
+        hashesA += a.hashDb(kind, k).associationCount();
+        hashesB += b.hashDb(kind, k).associationCount();
+      }
+      EXPECT_EQ(hashesA, hashesB);  // nothing of the removed ones is left
+    }
+  }
 }
 
 }  // namespace
