@@ -31,11 +31,11 @@ cannot enforce:
   state-file-io       Direct file I/O (std::ofstream / std::ifstream /
                       std::fstream, bare ::open/::write/::fsync syscalls,
                       opendir/mkdir, std::rename/std::remove) anywhere in
-                      src/flow. ALL durable-state I/O flows through the
-                      bf::io VFS seam (src/io/vfs.h): snapshot.cpp and
-                      wal.cpp take an io::Vfs, which is what lets the
-                      storage-chaos suites inject ENOSPC / torn writes /
-                      fsync failures. A direct stream or syscall would
+                      src/core or src/flow. ALL durable-state I/O flows
+                      through the bf::io VFS seam (src/io/vfs.h): state
+                      files (src/io/state_file.h) and the WAL take an
+                      io::Vfs, which is what lets the storage-chaos suites
+                      inject ENOSPC / torn writes / fsync failures. A direct stream or syscall would
                       bypass both the seam and the framing that makes
                       crash recovery trustworthy.
   missing-pragma-once Headers must use `#pragma once`.
@@ -113,8 +113,8 @@ DEQUE_PATTERNS = [
      "FingerprintWorkspace (text/fingerprint_kernel.h)"),
 ]
 
-# Empty since the bf::io VFS seam landed: snapshot.cpp and wal.cpp now do
-# all their I/O through io::Vfs, so no file in src/flow is exempt.
+# Empty: state files, the WAL and config reads all go through io::Vfs, so
+# no file in src/core or src/flow is exempt.
 STATE_FILE_IO_ALLOWED = ()
 
 STATE_FILE_IO_PATTERNS = [
@@ -214,8 +214,8 @@ def lint_file(path: str, fixture_mode: bool = False) -> list[Finding]:
          (rel.startswith(SIMD_INTRINSICS_ALLOWED_PREFIXES) or
           rel in SIMD_INTRINSICS_ALLOWED))
     scan(STATE_FILE_IO_PATTERNS, "state-file-io",
-         not fixture_mode and (not rel.startswith("src/flow/") or
-                               rel in STATE_FILE_IO_ALLOWED))
+         not fixture_mode and (not rel.startswith(("src/core/", "src/flow/"))
+                               or rel in STATE_FILE_IO_ALLOWED))
 
     if path.endswith((".h", ".hpp")) and not re.search(
             r"^\s*#\s*pragma\s+once\b", code, re.MULTILINE):

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/hashing.h"
+
 namespace bf::crypto {
 
 namespace {
@@ -67,20 +69,38 @@ std::array<std::uint8_t, 64> chacha20Block(const Key256& key,
   return out;
 }
 
-std::string chacha20Xor(std::string_view data, const Key256& key,
+void chacha20XorInPlace(std::span<char> data, const Key256& key,
                         const Nonce96& nonce, std::uint32_t counter) {
-  std::string out(data);
   std::size_t pos = 0;
-  while (pos < out.size()) {
+  while (pos < data.size()) {
     const auto block = chacha20Block(key, nonce, counter++);
-    const std::size_t n = std::min<std::size_t>(64, out.size() - pos);
+    const std::size_t n = std::min<std::size_t>(64, data.size() - pos);
     for (std::size_t i = 0; i < n; ++i) {
-      out[pos + i] = static_cast<char>(
-          static_cast<std::uint8_t>(out[pos + i]) ^ block[i]);
+      data[pos + i] = static_cast<char>(
+          static_cast<std::uint8_t>(data[pos + i]) ^ block[i]);
     }
     pos += n;
   }
+}
+
+std::string chacha20Xor(std::string_view data, const Key256& key,
+                        const Nonce96& nonce, std::uint32_t counter) {
+  std::string out(data);
+  chacha20XorInPlace(out, key, nonce, counter);
   return out;
+}
+
+Key256 deriveKey(std::string_view secret, std::uint64_t domain) {
+  Key256 key{};
+  std::uint64_t h = util::fnv1a64(secret);
+  for (int i = 0; i < 4; ++i) {
+    h = util::mix64(h + static_cast<std::uint64_t>(i) + domain);
+    for (int b = 0; b < 8; ++b) {
+      key[static_cast<std::size_t>(i * 8 + b)] =
+          static_cast<std::uint8_t>(h >> (8 * b));
+    }
+  }
+  return key;
 }
 
 }  // namespace bf::crypto

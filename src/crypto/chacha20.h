@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -22,9 +23,19 @@ using Nonce96 = std::array<std::uint8_t, 12>;
                                       const Nonce96& nonce,
                                       std::uint32_t counter = 1);
 
-/// One 64-byte keystream block; exposed for the RFC test vectors.
+/// chacha20Xor() over `data` in place, for buffers too large to copy.
+void chacha20XorInPlace(std::span<char> data, const Key256& key,
+                        const Nonce96& nonce, std::uint32_t counter = 1);
+
+/// One 64-byte keystream block (block 0 keys Poly1305 in crypto/mac.h).
 [[nodiscard]] std::array<std::uint8_t, 64> chacha20Block(const Key256& key,
                                                          const Nonce96& nonce,
                                                          std::uint32_t counter);
+
+/// Expands `secret` into a 256-bit key by chained FNV/SplitMix hashing.
+/// `domain` separates the keys of different uses of one secret. Not a
+/// password KDF: the simulated deployment has no KMS, and its security
+/// lives in the model, not in the key schedule.
+[[nodiscard]] Key256 deriveKey(std::string_view secret, std::uint64_t domain);
 
 }  // namespace bf::crypto

@@ -1,21 +1,12 @@
-// Keyed integrity tag for encrypted state files (encrypt-then-MAC).
+// Poly1305 and the ChaCha20-Poly1305 AEAD tag (RFC 8439 §2.5 and §2.8).
 //
 // ChaCha20 in counter mode is malleable: flipping ciphertext bit i flips
-// plaintext bit i, so an unauthenticated encrypted snapshot could be
-// imported with silently altered hashes whenever the parse still succeeds
-// (the original satellite bug this module fixes). Snapshot v2 therefore
-// appends a 16-byte keyed tag over the whole ciphertext envelope, verified
-// BEFORE decryption or parsing.
-//
-// Construction: the message is absorbed into four 64-bit lanes by chained
-// SplitMix64 finalisers seeded from the key (length-extended, position
-// bound), then the lane state is whitened through one ChaCha20 block keyed
-// with the MAC key. This is NOT a general-purpose MAC (the compression is
-// not cryptographic); it is collision-resistant against the threat model
-// the snapshot format defends against — storage bit-rot, torn writes and
-// ciphertext malleability without the key — matching the strength of the
-// repo's existing fnv1a64-based key derivation. A production deployment
-// would swap in Poly1305 behind the same 16-byte interface.
+// plaintext bit i, so an unauthenticated encrypted state file could load
+// with silently altered hashes whenever the parse still succeeds. Sealed
+// state files (io/state_file.h) therefore carry the RFC 8439 AEAD tag over
+// their header and ciphertext, verified BEFORE decryption or parsing.
+// Implemented from the RFC; verified against its test vectors in
+// tests/crypto.
 #pragma once
 
 #include <array>
@@ -28,11 +19,19 @@ namespace bf::crypto {
 
 using Tag128 = std::array<std::uint8_t, 16>;
 
-/// 16-byte keyed tag over `data`. Deterministic; key-dependent through
-/// both the absorb seeds and the ChaCha20 whitening block.
-[[nodiscard]] Tag128 keyedTag(const Key256& key, std::string_view data);
+/// Poly1305 authenticator of `message` under a 32-byte ONE-TIME key
+/// (r || s). Reusing a one-time key for two messages reveals it.
+[[nodiscard]] Tag128 poly1305(const Key256& oneTimeKey,
+                              std::string_view message);
 
-/// Constant-time-ish tag comparison (single pass, no early exit).
+/// The ChaCha20-Poly1305 AEAD tag over `aad` and `ciphertext`: Poly1305
+/// keyed with the first 32 bytes of ChaCha20 block 0 under (key, nonce),
+/// over aad | pad16 | ciphertext | pad16 | le64(|aad|) | le64(|ciphertext|).
+/// The ciphertext itself is ChaCha20 under (key, nonce) from counter 1.
+[[nodiscard]] Tag128 aeadTag(const Key256& key, const Nonce96& nonce,
+                             std::string_view aad, std::string_view ciphertext);
+
+/// Tag comparison without an early exit.
 [[nodiscard]] bool tagEquals(const Tag128& a, const Tag128& b) noexcept;
 
 }  // namespace bf::crypto

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "util/hashing.h"
 #include "util/strings.h"
 
 namespace bf::crypto {
@@ -43,19 +42,8 @@ std::optional<std::string> fromHex(std::string_view hex) {
 
 }  // namespace
 
-Sealer::Sealer(std::string_view orgSecret) {
-  // Expand the secret into 32 key bytes by chained FNV hashing. Not a real
-  // KDF, but the simulated deployment's security lives in the model, not in
-  // the key schedule.
-  std::uint64_t h = util::fnv1a64(orgSecret);
-  for (int i = 0; i < 4; ++i) {
-    h = util::mix64(h + static_cast<std::uint64_t>(i));
-    for (int b = 0; b < 8; ++b) {
-      key_[static_cast<std::size_t>(i * 8 + b)] =
-          static_cast<std::uint8_t>(h >> (8 * b));
-    }
-  }
-}
+Sealer::Sealer(std::string_view orgSecret)
+    : key_(deriveKey(orgSecret, /*domain=*/0)) {}
 
 std::string Sealer::seal(sec::SensitiveView plaintext) {
   Nonce96 nonce{};

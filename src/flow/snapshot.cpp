@@ -1,66 +1,19 @@
 #include "flow/snapshot.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <span>
 #include <vector>
 
-#include "crypto/chacha20.h"
-#include "crypto/mac.h"
+#include "io/state_file.h"
 #include "util/binary_io.h"
-#include "util/crc32c.h"
-#include "util/hashing.h"
 
 namespace bf::flow {
 
 namespace {
 
-constexpr std::string_view kPlainMagic = "BFSNAPP1";
-constexpr std::string_view kEncMagic = "BFSNAPE1";
-constexpr std::string_view kPlainMagicV2 = "BFSNAPP2";
-constexpr std::string_view kEncMagicV2 = "BFSNAPE2";
-// v3 bodies add the tenant id per segment and the lastSeen retention stamp
-// per association. BFSNAPP3 = plain unsequenced (exportState), BFSNAPS3 =
-// sequenced + CRC trailer (exportStateV2/checkpoints). v1/v2 blobs still
-// import: their records get tenant 0 and lastSeen = firstSeen.
-constexpr std::string_view kPlainMagicV3 = "BFSNAPP3";
-constexpr std::string_view kSeqMagicV3 = "BFSNAPS3";
-
-crypto::Key256 deriveKey(std::string_view secret) {
-  crypto::Key256 key{};
-  std::uint64_t h = util::fnv1a64(secret);
-  for (int i = 0; i < 4; ++i) {
-    h = util::mix64(h + static_cast<std::uint64_t>(i) + 0xB0F1ULL);
-    for (int b = 0; b < 8; ++b) {
-      key[static_cast<std::size_t>(i * 8 + b)] =
-          static_cast<std::uint8_t>(h >> (8 * b));
-    }
-  }
-  return key;
-}
-
-/// Independent key for the integrity tag (encrypt-then-MAC wants distinct
-/// cipher and MAC keys; the domain constant separates the derivations).
-crypto::Key256 deriveMacKey(std::string_view secret) {
-  crypto::Key256 key{};
-  std::uint64_t h = util::mix64(util::fnv1a64(secret) ^ 0x4D414331ULL);  // "MAC1"
-  for (int i = 0; i < 4; ++i) {
-    h = util::mix64(h + static_cast<std::uint64_t>(i) + 0x7A61ULL);
-    for (int b = 0; b < 8; ++b) {
-      key[static_cast<std::size_t>(i * 8 + b)] =
-          static_cast<std::uint8_t>(h >> (8 * b));
-    }
-  }
-  return key;
-}
-
-/// Serialises the v3 state body (everything after the magic / sequence
-/// header): segment records carry their tenant, associations their
-/// lastSeen retention stamp.
+/// Serialises the state body: segment records carry their tenant,
+/// associations their lastSeen retention stamp.
 void appendStateBody(const FlowTracker& tracker, std::size_t shard,
                      std::string& out) {
   // Segments, ordered by id for determinism.
@@ -74,8 +27,8 @@ void appendStateBody(const FlowTracker& tracker, std::size_t shard,
   // Size the body up front: growing a multi-megabyte string by doubling
   // holds two copies at once on every checkpoint. Per segment: 9 fixed
   // words plus the kind byte, the three strings and 12 bytes per gram; per
-  // association 4 words; 3 count words; 4 bytes for exportStateV2's CRC.
-  std::size_t bytes = 3 * 8 + 4;
+  // association 4 words; 3 count words; the state file's trailer.
+  std::size_t bytes = 3 * 8 + io::kStateFileTrailerBytes;
   for (const SegmentRecord* rec : segments) {
     bytes += 9 * 8 + 1 + rec->name.size() + rec->document.size() +
              rec->service.size() + 12 * rec->fingerprint.grams().size();
@@ -154,13 +107,13 @@ bool validKindByte(std::uint8_t k) noexcept {
          k == static_cast<std::uint8_t>(SegmentKind::kDocument);
 }
 
-/// Parses the state body from `r` into `staged`. Returns an empty string on
-/// success, an error message otherwise. Untrusted bytes are validated here,
+/// Parses `body` into `staged`. Returns an empty string on success, an
+/// error message otherwise. Untrusted bytes are validated here,
 /// BEFORE anything touches the tracker: enum bytes must name a known
 /// SegmentKind and thresholds must be finite and in range — a corrupt blob
 /// must never static_cast its way into live records.
-std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
-                           int version) {
+std::string parseStateBody(std::string_view body, StagedState& staged) {
+  util::BinaryReader r(body);
   const std::uint64_t segmentCount = r.u64();
   for (std::uint64_t i = 0; i < segmentCount && r.ok(); ++i) {
     SegmentRecord rec;
@@ -177,7 +130,7 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
     if (r.ok() && !validThreshold(rec.threshold)) {
       return "threshold out of range for segment '" + rec.name + "'";
     }
-    if (version >= 3) rec.tenant = r.u64();
+    rec.tenant = r.u64();
     rec.createdAt = r.u64();
     rec.updatedAt = r.u64();
     staged.maxTs = std::max({staged.maxTs, rec.createdAt, rec.updatedAt});
@@ -204,7 +157,7 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
       const std::uint64_t hash = r.u64();
       const SegmentId segment = r.u64();
       const util::Timestamp ts = r.u64();
-      const util::Timestamp lastSeen = version >= 3 ? r.u64() : ts;
+      const util::Timestamp lastSeen = r.u64();
       staged.maxTs = std::max({staged.maxTs, ts, lastSeen});
       staged.assocs.push_back({hash, segment, ts, lastSeen});
     }
@@ -217,75 +170,16 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
   return {};
 }
 
-/// Crash-safe whole-file write: full content to a sibling temp file,
-/// fsync, atomic rename over the target, then fsync the directory so the
-/// rename itself is durable. A crash or disk-full mid-write can never
-/// leave a truncated file at `path`, and EVERY failure path removes the
-/// temp file — a save that fails (ENOSPC, short write, fsync error) leaves
-/// no orphan and never clobbers the previous good snapshot, which only the
-/// final rename replaces. The temp name is unique per process and per
-/// call: concurrent saves to the same path must never share a temp file,
-/// or interleaved writes could be renamed over the target.
-util::Status atomicWriteFile(io::Vfs& vfs, const std::string& path,
-                             std::string_view fileData) {
-  static std::atomic<std::uint64_t> tmpCounter{0};
-  const std::string tmpPath =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(tmpCounter.fetch_add(1, std::memory_order_relaxed));
-  std::unique_ptr<io::File> file = vfs.openForWrite(tmpPath);
-  if (file == nullptr) {
-    return util::Status::error("cannot open for writing: " + tmpPath);
-  }
-  if (!file->write(fileData).ok) {
-    (void)file->close();
-    (void)vfs.remove(tmpPath);
-    return util::Status::error("write failed: " + tmpPath);
-  }
-  if (!file->sync()) {
-    (void)file->close();
-    (void)vfs.remove(tmpPath);
-    return util::Status::error("fsync failed: " + tmpPath);
-  }
-  if (!file->close()) {
-    (void)vfs.remove(tmpPath);
-    return util::Status::error("close failed: " + tmpPath);
-  }
-  if (!vfs.rename(tmpPath, path)) {
-    (void)vfs.remove(tmpPath);
-    return util::Status::error("rename failed: " + tmpPath + " -> " + path);
-  }
-  // Durable rename: fsync the containing directory (best effort — some
-  // filesystems reject O_RDONLY directory fsync; the rename is still
-  // atomic, just not yet journalled).
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  vfs.syncDir(dir);
-  return {};
-}
-
-}  // namespace
-
-std::string exportState(const FlowTracker& tracker, std::size_t shard) {
-  std::string out;
-  out.append(kPlainMagicV3);
-  appendStateBody(tracker, shard, out);
-  return out;
-}
-
-std::string exportStateV2(const FlowTracker& tracker, std::uint64_t sequence,
-                          std::size_t shard) {
-  std::string out;
-  out.append(kSeqMagicV3);
-  util::putU64(out, sequence);
-  appendStateBody(tracker, shard, out);
-  util::putU32(out, util::maskCrc32c(util::crc32c(out)));
-  return out;
-}
-
-util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
-                                         std::string_view blob,
-                                         std::size_t shard) {
-  using R = util::Result<SnapshotInfo>;
+/// Restores `body` into shard `shard` of an empty tracker, all or
+/// nothing: the ENTIRE body is parsed and validated into staging
+/// structures before the tracker is touched. `backing`, when given, is the
+/// buffer `body` views; it is freed once the body is staged, so it never
+/// peaks together with the restored state.
+util::Result<util::Timestamp> restoreBody(FlowTracker& tracker,
+                                          std::string_view body,
+                                          std::size_t shard,
+                                          std::string* backing) {
+  using R = util::Result<util::Timestamp>;
   if (shard >= tracker.shardCount()) {
     return R::error("snapshot shard " + std::to_string(shard) +
                     " out of range");
@@ -293,54 +187,12 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
   if (tracker.segmentDb(shard).size() != 0) {
     return R::error("importState requires an empty tracker");
   }
-
-  SnapshotInfo info;
-  std::string_view body;
-  int version = 0;
-  const bool sequencedV3 = blob.substr(0, kSeqMagicV3.size()) == kSeqMagicV3;
-  if (sequencedV3 || blob.substr(0, kPlainMagicV2.size()) == kPlainMagicV2) {
-    // Sequenced: magic + u64 sequence + body + u32 masked CRC trailer.
-    version = sequencedV3 ? 3 : 2;
-    constexpr std::size_t kHeader = 8 + 8;
-    if (blob.size() < kHeader + 4) return R::error("snapshot truncated");
-    const std::string_view trailer = blob.substr(blob.size() - 4);
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored |= static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(trailer[static_cast<std::size_t>(i)]))
-                << (8 * i);
-    }
-    const std::uint32_t actual =
-        util::crc32c(blob.substr(0, blob.size() - 4));
-    if (util::unmaskCrc32c(stored) != actual) {
-      return R::error("snapshot CRC mismatch");
-    }
-    util::BinaryReader seqReader(blob.substr(kHeader - 8, 8));
-    info.sequence = seqReader.u64();
-    body = blob.substr(kHeader, blob.size() - kHeader - 4);
-  } else if (blob.substr(0, kPlainMagicV3.size()) == kPlainMagicV3) {
-    // v3 plain: magic + body, no trailer, sequence 0.
-    version = 3;
-    body = blob.substr(kPlainMagicV3.size());
-  } else if (blob.substr(0, kPlainMagic.size()) == kPlainMagic) {
-    // v1: magic + body, no trailer, sequence 0.
-    version = 1;
-    body = blob.substr(kPlainMagic.size());
-  } else {
-    return R::error("not a BrowserFlow snapshot (bad magic)");
-  }
-
-  // Parse the ENTIRE body into staging structures before touching the
-  // tracker, so a truncated or corrupt snapshot leaves it empty (all or
-  // nothing) instead of half-restored.
-  util::BinaryReader r(body);
   StagedState staged;
-  if (std::string err = parseStateBody(r, staged, version); !err.empty()) {
+  if (std::string err = parseStateBody(body, staged); !err.empty()) {
     return R::error(err);
   }
-  info.maxTimestamp = staged.maxTs;
+  if (backing != nullptr) std::string().swap(*backing);
 
-  // Validated end to end — now apply.
   for (SegmentRecord& rec : staged.segments) {
     tracker.restoreSegment(std::move(rec), shard);
   }
@@ -350,121 +202,45 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
   tracker.restoreAssociations(SegmentKind::kDocument,
                               assocs.subspan(staged.paragraphAssocs), shard);
   tracker.rebuildIndex();
-  return info;
+  return staged.maxTs;
+}
+
+}  // namespace
+
+std::string exportState(const FlowTracker& tracker, std::size_t shard) {
+  std::string out;
+  appendStateBody(tracker, shard, out);
+  return out;
 }
 
 util::Result<util::Timestamp> importState(FlowTracker& tracker,
-                                          std::string_view blob) {
-  using R = util::Result<util::Timestamp>;
-  auto result = importStateEx(tracker, blob);
-  if (!result.ok()) return R::error(result.errorMessage());
-  return result.value().maxTimestamp;
+                                          std::string_view body,
+                                          std::size_t shard) {
+  return restoreBody(tracker, body, shard, /*backing=*/nullptr);
 }
 
 util::Status saveSnapshot(const FlowTracker& tracker, const std::string& path,
                           std::string_view secret, std::uint64_t sequence,
                           io::Vfs* vfs, std::size_t shard) {
-  std::string blob = exportStateV2(tracker, sequence, shard);
-  std::string fileData;
-  if (secret.empty()) {
-    fileData = std::move(blob);
-  } else {
-    fileData.append(kEncMagicV2);
-    // Nonce derived from content + secret: snapshots are whole-file
-    // rewrites, so nonce reuse would require identical (content, secret) —
-    // which produces identical ciphertext, leaking nothing new.
-    crypto::Nonce96 nonce{};
-    const std::uint64_t n1 = util::fnv1a64(blob);
-    const std::uint64_t n2 =
-        util::mix64(n1 ^ util::fnv1a64(secret));
-    for (int i = 0; i < 8; ++i) {
-      nonce[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(n1 >> (8 * i));
-    }
-    for (int i = 0; i < 4; ++i) {
-      nonce[static_cast<std::size_t>(8 + i)] =
-          static_cast<std::uint8_t>(n2 >> (8 * i));
-    }
-    fileData.append(reinterpret_cast<const char*>(nonce.data()), nonce.size());
-    const std::string ciphertext =
-        crypto::chacha20Xor(blob, deriveKey(secret), nonce);
-    blob = std::string();  // at most two copies of the state at once
-    fileData.reserve(fileData.size() + ciphertext.size() +
-                     sizeof(crypto::Tag128));
-    fileData += ciphertext;
-    // Encrypt-then-MAC: the tag covers magic, nonce and ciphertext, so any
-    // bit flip anywhere in the envelope fails verification BEFORE the
-    // malleable stream cipher could smuggle altered plaintext to the
-    // parser.
-    const crypto::Tag128 tag = crypto::keyedTag(deriveMacKey(secret), fileData);
-    fileData.append(reinterpret_cast<const char*>(tag.data()), tag.size());
-  }
-  return atomicWriteFile(vfs != nullptr ? *vfs : io::defaultVfs(), path,
-                         fileData);
+  return io::writeStateFile(
+      vfs != nullptr ? *vfs : io::defaultVfs(), path,
+      io::StateKind::kCheckpoint, sequence, secret,
+      [&](std::string& out) { appendStateBody(tracker, shard, out); });
 }
 
-util::Result<SnapshotInfo> loadSnapshotEx(FlowTracker& tracker,
-                                          const std::string& path,
-                                          std::string_view secret,
-                                          io::Vfs* vfs, std::size_t shard) {
+util::Result<SnapshotInfo> loadSnapshot(FlowTracker& tracker,
+                                        const std::string& path,
+                                        std::string_view secret, io::Vfs* vfs,
+                                        std::size_t shard) {
   using R = util::Result<SnapshotInfo>;
-  util::Result<std::string> read =
-      (vfs != nullptr ? *vfs : io::defaultVfs()).readFile(path);
-  if (!read.ok()) return R::error("cannot open: " + path);
-  const std::string fileData = std::move(read.value());
-
-  if (fileData.substr(0, kEncMagicV2.size()) == kEncMagicV2) {
-    if (secret.empty()) return R::error("snapshot is encrypted; secret needed");
-    const std::size_t header = kEncMagicV2.size();
-    if (fileData.size() < header + 12 + sizeof(crypto::Tag128)) {
-      return R::error("snapshot truncated");
-    }
-    // Authenticate the whole envelope before decrypting anything.
-    const std::size_t tagOffset = fileData.size() - sizeof(crypto::Tag128);
-    crypto::Tag128 stored{};
-    std::memcpy(stored.data(), fileData.data() + tagOffset, stored.size());
-    const crypto::Tag128 actual = crypto::keyedTag(
-        deriveMacKey(secret),
-        std::string_view(fileData).substr(0, tagOffset));
-    if (!crypto::tagEquals(stored, actual)) {
-      return R::error("snapshot authentication failed (corrupt or wrong key)");
-    }
-    crypto::Nonce96 nonce{};
-    for (std::size_t i = 0; i < 12; ++i) {
-      nonce[i] = static_cast<std::uint8_t>(fileData[header + i]);
-    }
-    const std::string blob = crypto::chacha20Xor(
-        std::string_view(fileData).substr(header + 12,
-                                          tagOffset - header - 12),
-        deriveKey(secret), nonce);
-    return importStateEx(tracker, blob, shard);
-  }
-
-  if (fileData.substr(0, kEncMagic.size()) == kEncMagic) {
-    // Legacy v1 encrypted snapshot: unauthenticated (migration path only).
-    if (secret.empty()) return R::error("snapshot is encrypted; secret needed");
-    const std::size_t header = kEncMagic.size();
-    if (fileData.size() < header + 12) return R::error("snapshot truncated");
-    crypto::Nonce96 nonce{};
-    for (std::size_t i = 0; i < 12; ++i) {
-      nonce[i] = static_cast<std::uint8_t>(fileData[header + i]);
-    }
-    const std::string blob = crypto::chacha20Xor(
-        std::string_view(fileData).substr(header + 12), deriveKey(secret),
-        nonce);
-    return importStateEx(tracker, blob, shard);
-  }
-
-  return importStateEx(tracker, fileData, shard);
-}
-
-util::Result<util::Timestamp> loadSnapshot(FlowTracker& tracker,
-                                           const std::string& path,
-                                           std::string_view secret) {
-  using R = util::Result<util::Timestamp>;
-  auto result = loadSnapshotEx(tracker, path, secret);
-  if (!result.ok()) return R::error(result.errorMessage());
-  return result.value().maxTimestamp;
+  util::Result<io::StateFile> file =
+      io::readStateFile(vfs != nullptr ? *vfs : io::defaultVfs(), path,
+                        io::StateKind::kCheckpoint, secret);
+  if (!file.ok()) return R::error(file.errorMessage());
+  io::StateFile& f = file.value();
+  const auto maxTs = restoreBody(tracker, f.payload(), shard, &f.bytes);
+  if (!maxTs.ok()) return R::error(maxTs.errorMessage());
+  return SnapshotInfo{maxTs.value(), f.sequence};
 }
 
 }  // namespace bf::flow

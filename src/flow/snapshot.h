@@ -7,41 +7,20 @@
 //  of old fingerprints." (S4.4)
 //
 // exportState()/importState() serialise the tracker's segments (with their
-// fingerprints, thresholds and metadata) and all hash associations (with
-// first-seen timestamps, preserving authority ordering) into a portable
-// little-endian binary blob. saveSnapshot()/loadSnapshot() add the at-rest
-// encryption layer and file I/O.
-//
-// Formats (DESIGN.md §11):
-//  - v1 plain "BFSNAPP1": magic + body. No integrity check beyond the
-//    bounds-checked parse. Still readable; no longer written.
-//  - v2 plain "BFSNAPP2": magic + u64 checkpoint sequence + body + trailing
-//    masked CRC32C over everything before the trailer. The sequence links
-//    a checkpoint to the write-ahead log that continues it (flow/wal.h).
-//    Still readable; no longer written.
-//  - v3 plain "BFSNAPP3": magic + v3 body (segment records carry their
-//    tenant id, associations their lastSeen retention stamp). Written by
-//    exportState().
-//  - v3 sequenced "BFSNAPS3": magic + u64 checkpoint sequence + v3 body +
-//    trailing masked CRC32C. Written by exportStateV2()/saveSnapshot().
-//  - v1 encrypted "BFSNAPE1": magic + nonce + ChaCha20(blob). Readable for
-//    migration; unauthenticated, so a flipped ciphertext bit could import
-//    as wrong hashes — which is why it is no longer written.
-//  - v2 encrypted "BFSNAPE2": magic + nonce + ChaCha20(plain blob) +
-//    16-byte keyed tag over magic||nonce||ciphertext (crypto/mac.h),
-//    verified BEFORE decryption (encrypt-then-MAC). The envelope wraps the
-//    inner blob opaquely, so it carries v2 or v3 bodies unchanged.
-//
-// v1/v2 bodies import with tenant 0 and lastSeen = firstSeen — the exact
-// pre-tenant behaviour.
+// fingerprints, thresholds, tenants and metadata) and all hash
+// associations (with first-seen and last-seen timestamps, preserving
+// authority ordering) into a portable little-endian body (DESIGN.md §11).
+// saveSnapshot()/loadSnapshot() store that body as a checkpoint state file
+// (io/state_file.h): sequenced, CRC'd or sealed with ChaCha20-Poly1305,
+// and written crash-safe.
 //
 // Every import validates untrusted bytes before they become live records:
 // unknown SegmentKind values and non-finite / out-of-range thresholds
-// reject the whole blob (all-or-nothing, tracker left empty).
+// reject the whole body (all-or-nothing, tracker left empty).
 //
-// A blob holds ONE shard's stores (the whole tracker at N = 1): every
+// A body holds ONE shard's stores (the whole tracker at N = 1): every
 // function takes the shard it reads or restores, 0 by default. A sharded
-// tracker persists as one blob per shard (DurabilityManager keeps one
+// tracker persists as one body per shard (DurabilityManager keeps one
 // checkpoint chain per shard).
 #pragma once
 
@@ -54,48 +33,35 @@
 
 namespace bf::flow {
 
-/// What a successfully imported snapshot contained.
+/// What a successfully loaded snapshot contained.
 struct SnapshotInfo {
   /// Largest timestamp in the snapshot: the caller must advance the
   /// tracker's clock past it so new observations sort after restored ones
   /// (LogicalClock::advanceTo).
   util::Timestamp maxTimestamp = 0;
-  /// Checkpoint sequence number recorded at save time (0 for v1 blobs and
-  /// plain saves outside the durability manager). WAL records with
-  /// sequence > this continue the state (flow/wal.h).
+  /// Checkpoint sequence number recorded at save time (0 for saves outside
+  /// the durability manager). WAL records with sequence > this continue
+  /// the state (flow/wal.h).
   std::uint64_t sequence = 0;
 };
 
-/// Serialises one shard's state as a v3 plain blob (the deterministic
-/// canonical form: equal states produce equal blobs — segments ordered by
-/// id, associations by hash within kind).
+/// Serialises one shard's state as the canonical body: equal states
+/// produce equal bodies (segments ordered by id, associations by hash
+/// within kind).
 [[nodiscard]] std::string exportState(const FlowTracker& tracker,
                                       std::size_t shard = 0);
 
-/// Serialises as a v3 sequenced blob: checkpoint `sequence` + body + CRC32C
-/// trailer. Deterministic like exportState().
-[[nodiscard]] std::string exportStateV2(const FlowTracker& tracker,
-                                        std::uint64_t sequence,
-                                        std::size_t shard = 0);
+/// Restores a body produced by exportState() into shard `shard` of
+/// `tracker`, which must be EMPTY (freshly constructed), then rebuilds the
+/// tracker's index. Returns the largest timestamp in the body.
+[[nodiscard]] util::Result<util::Timestamp> importState(
+    FlowTracker& tracker, std::string_view body, std::size_t shard = 0);
 
-/// Restores state exported by exportState()/exportStateV2() into shard
-/// `shard` of `tracker`, which must be EMPTY (freshly constructed), then
-/// rebuilds the tracker's index. Accepts v1, v2 and v3 blobs; sequenced
-/// blobs are rejected on CRC mismatch.
-[[nodiscard]] util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
-                                                       std::string_view blob,
-                                                       std::size_t shard = 0);
-
-/// importStateEx() returning only the timestamp (compatibility shim).
-[[nodiscard]] util::Result<util::Timestamp> importState(FlowTracker& tracker,
-                                                        std::string_view blob);
-
-/// Writes the tracker state to `path` in v2 format, encrypted with a key
-/// derived from `secret` (empty secret = plaintext snapshot). Crash-safe:
-/// full temp-file write + fsync + atomic rename — on ANY failure the temp
-/// file is removed and the previous snapshot at `path` is untouched.
-/// `sequence` is the checkpoint sequence stored in the blob (0 outside the
-/// durability manager). `vfs` routes the file I/O (null = defaultVfs()).
+/// Writes shard `shard` to `path` as a checkpoint state file carrying
+/// `sequence` (0 outside the durability manager), sealed with a key
+/// derived from `secret` (empty secret = plaintext with a CRC). Crash-safe:
+/// on ANY failure the temp file is removed and the previous snapshot at
+/// `path` is untouched. `vfs` routes the file I/O (null = defaultVfs()).
 [[nodiscard]] util::Status saveSnapshot(const FlowTracker& tracker,
                                         const std::string& path,
                                         std::string_view secret,
@@ -103,16 +69,12 @@ struct SnapshotInfo {
                                         io::Vfs* vfs = nullptr,
                                         std::size_t shard = 0);
 
-/// Loads a snapshot written by saveSnapshot() — any format version — into
-/// an empty tracker. Encrypted v2 files are authenticated before parsing:
-/// a bit-flipped blob fails the tag check and is rejected. `vfs` routes
-/// the read (null = defaultVfs()).
-[[nodiscard]] util::Result<SnapshotInfo> loadSnapshotEx(
+/// Loads a snapshot written by saveSnapshot() into an empty tracker. The
+/// file is authenticated (or CRC-checked) before parsing, decrypted in
+/// place, and its buffer released before the parsed state is applied.
+/// `vfs` routes the read (null = defaultVfs()).
+[[nodiscard]] util::Result<SnapshotInfo> loadSnapshot(
     FlowTracker& tracker, const std::string& path, std::string_view secret,
     io::Vfs* vfs = nullptr, std::size_t shard = 0);
-
-/// loadSnapshotEx() returning only the timestamp (compatibility shim).
-[[nodiscard]] util::Result<util::Timestamp> loadSnapshot(
-    FlowTracker& tracker, const std::string& path, std::string_view secret);
 
 }  // namespace bf::flow

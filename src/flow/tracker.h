@@ -359,15 +359,15 @@ class FlowTracker {
   // checkpoint/WAL chain, so these primitives act on ONE shard and never
   // fan out. Names are internal (tenant-prefixed) names, as logged. They
   // leave the tenant index stale: call rebuildIndex() once the restore is
-  // complete (importStateEx and DurabilityManager::recoverAndAttach do).
+  // complete (importState and DurabilityManager::recoverAndAttach do).
 
   /// Restores a segment exported by flow::exportState(). The id and name
   /// must be unused in `shard`.
   void restoreSegment(SegmentRecord record, std::size_t shard = 0);
 
   /// Restores one hash association with its original first-seen and
-  /// last-seen timestamps (lastSeen 0 means "same as firstSeen" — the
-  /// legacy snapshot/WAL formats predate the retention stamp).
+  /// last-seen timestamps (lastSeen 0 means "same as firstSeen" — legacy
+  /// WAL records predate the retention stamp).
   void restoreAssociation(SegmentKind kind, std::uint64_t hash,
                           SegmentId segment, util::Timestamp firstSeen,
                           util::Timestamp lastSeen = 0,

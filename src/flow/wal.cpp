@@ -813,8 +813,8 @@ util::Result<RecoveryStats> DurabilityManager::recoverChain(
   const auto checkpoints =
       listSeqFiles(vfs(), c.directory, "checkpoint-", ".bfc");
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    auto info = loadSnapshotEx(tracker, checkpointPath(c, *it),
-                               config_.secret, config_.vfs, k);
+    auto info = loadSnapshot(tracker, checkpointPath(c, *it),
+                             config_.secret, config_.vfs, k);
     if (info.ok()) {
       stats.checkpointSequence = info.value().sequence;
       stats.maxTimestamp = info.value().maxTimestamp;

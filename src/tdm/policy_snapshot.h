@@ -4,8 +4,9 @@
 // together they let an enterprise deployment restart without losing
 // segment labels, user suppressions, custom-tag ownership, service
 // definitions or the audit trail. Serialization uses the same
-// little-endian format; encryption at rest is applied by the caller (see
-// core::saveDeployment), since labels alone rarely contain content.
+// little-endian format. The blob is stored only inside a deployment state
+// file (core::saveDeployment), which CRCs or seals it at rest together
+// with the fingerprint bodies (io/state_file.h).
 #pragma once
 
 #include <string>

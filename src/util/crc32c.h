@@ -1,9 +1,10 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the checksum framing every
-// durable disclosure-state file uses (flow/wal.cpp frames, snapshot v2
-// trailers). CRC32C is the standard choice for storage framing (iSCSI,
-// ext4, LevelDB/RocksDB log records): it detects all burst errors up to 32
-// bits and any odd number of bit flips, which is exactly the torn-write /
-// bit-rot failure mode recovery must distinguish from a clean end-of-log.
+// durable disclosure-state file uses (flow/wal.cpp frames, plain state
+// file trailers in io/state_file.cpp). CRC32C is the standard choice for
+// storage framing (iSCSI, ext4, LevelDB/RocksDB log records): it detects
+// all burst errors up to 32 bits and any odd number of bit flips, which is
+// exactly the torn-write / bit-rot failure mode recovery must distinguish
+// from a clean end-of-log.
 //
 // Software slicing-by-8 table implementation; deterministic across
 // platforms (the tables are generated at first use from the reflected

@@ -1,13 +1,17 @@
 // Tests for full-deployment persistence: tracker + policy in one encrypted
 // file, restored into a fresh plug-in that keeps enforcing — including
 // previously granted suppressions.
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "core/deployment.h"
 #include "corpus/text_generator.h"
+#include "flow/snapshot.h"
+#include "io/fault_vfs.h"
 
 namespace bf::core {
 namespace {
@@ -131,6 +135,74 @@ TEST_F(DeploymentTest, MissingFileAndGarbageRejected) {
   const std::string path = tempPath("garbage");
   std::ofstream(path) << "this is not a deployment file";
   EXPECT_FALSE(loadDeployment(plugin, path, "").ok());
+}
+
+/// Names in /tmp starting with the file's basename + ".tmp." — the sibling
+/// temp files a save must rename away or clean up.
+std::vector<std::string> leftoverTempFiles(const std::string& path) {
+  const std::string prefix = path.substr(path.find_last_of('/') + 1) + ".tmp.";
+  std::vector<std::string> found;
+  DIR* dir = opendir("/tmp");
+  if (dir == nullptr) return found;
+  while (dirent* e = readdir(dir)) {
+    if (std::strncmp(e->d_name, prefix.c_str(), prefix.size()) == 0) {
+      found.emplace_back(e->d_name);
+    }
+  }
+  closedir(dir);
+  return found;
+}
+
+TEST_F(DeploymentTest, FailedSaveKeepsPreviousDeploymentAndLeavesNoOrphan) {
+  const std::string path = tempPath("faults");
+  util::LogicalClock clock;
+  BrowserFlowPlugin plugin(blockConfig(), &clock);
+  plugin.observeServiceDocument("svc", "svc/old", gen_.paragraph(6, 8));
+  ASSERT_TRUE(saveDeployment(plugin, path, "org-secret").ok());
+  const std::size_t savedSegments = plugin.tracker().segmentDb().size();
+  plugin.observeServiceDocument("svc", "svc/late", gen_.paragraph(6, 8));
+
+  for (io::StorageFaultKind kind :
+       {io::StorageFaultKind::kEnospc, io::StorageFaultKind::kShortWrite,
+        io::StorageFaultKind::kFsyncFail, io::StorageFaultKind::kOpenFail}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    io::FaultVfs fault(&io::defaultVfs(), /*seed=*/21);
+    fault.failNext(".tmp.", 1, kind);
+    EXPECT_FALSE(saveDeployment(plugin, path, "org-secret", &fault).ok());
+    EXPECT_TRUE(leftoverTempFiles(path).empty())
+        << "failed save must unlink its temp file";
+
+    // The previous deployment still loads and holds the OLD state.
+    util::LogicalClock clock2;
+    BrowserFlowPlugin restored(blockConfig(), &clock2);
+    const auto maxTs = loadDeployment(restored, path, "org-secret");
+    ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
+    EXPECT_EQ(restored.tracker().segmentDb().size(), savedSegments);
+  }
+}
+
+TEST_F(DeploymentTest, CheckpointAndDeploymentFilesAreNotInterchangeable) {
+  const std::string path = tempPath("kinds");
+  util::LogicalClock clock;
+  BrowserFlowPlugin plugin(blockConfig(), &clock);
+  plugin.observeServiceDocument("svc", "svc/doc", gen_.paragraph(6, 8));
+
+  ASSERT_TRUE(saveDeployment(plugin, path, "org-secret").ok());
+  util::LogicalClock clock2;
+  flow::FlowTracker tracker(flow::TrackerConfig{}, &clock2);
+  const auto asCheckpoint = flow::loadSnapshot(tracker, path, "org-secret");
+  ASSERT_FALSE(asCheckpoint.ok());
+  EXPECT_NE(asCheckpoint.errorMessage().find("deployment"), std::string::npos);
+  EXPECT_EQ(tracker.segmentDb().size(), 0u);
+
+  ASSERT_TRUE(
+      flow::saveSnapshot(plugin.tracker(), path, "org-secret").ok());
+  util::LogicalClock clock3;
+  BrowserFlowPlugin restored(blockConfig(), &clock3);
+  const auto asDeployment = loadDeployment(restored, path, "org-secret");
+  ASSERT_FALSE(asDeployment.ok());
+  EXPECT_NE(asDeployment.errorMessage().find("checkpoint"), std::string::npos);
+  EXPECT_EQ(restored.tracker().segmentDb().size(), 0u);
 }
 
 }  // namespace

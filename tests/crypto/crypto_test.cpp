@@ -1,7 +1,10 @@
-// Tests for ChaCha20 (against RFC 8439 vectors) and the Sealer envelope.
+// Tests for ChaCha20, Poly1305 and the ChaCha20-Poly1305 tag (against
+// RFC 8439 vectors) and the Sealer envelope.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "crypto/chacha20.h"
 #include "crypto/mac.h"
@@ -185,6 +188,15 @@ TEST(Sealer, SameSecretDifferentInstancesInteroperate) {
   EXPECT_EQ(*back, "cross-instance payload");
 }
 
+TEST(Sealer, EnvelopeBytesAreStable) {
+  // The key schedule is shared with state files (crypto::deriveKey); the
+  // Sealer's domain must keep producing the same envelopes.
+  Sealer sealer("org-secret");
+  EXPECT_EQ(sealer.seal("confidential paragraph"),
+            "BFENC1:010000000000000000000000:"
+            "519d85cac065817b9a31ec79337431acb012850b8c80");
+}
+
 namespace {
 Key256 macTestKey(std::uint8_t fill) {
   Key256 key{};
@@ -193,33 +205,100 @@ Key256 macTestKey(std::uint8_t fill) {
   }
   return key;
 }
+
+std::string hex(const Tag128& tag) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : tag) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+std::string unhex(std::string_view hexText) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hexText.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hexText.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
 }  // namespace
+
+TEST(Poly1305, Rfc8439Vector) {
+  // RFC 8439 section 2.5.2.
+  Key256 key{};
+  const std::string keyBytes = unhex(
+      "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  std::copy(keyBytes.begin(), keyBytes.end(), key.begin());
+  EXPECT_EQ(hex(poly1305(key, "Cryptographic Forum Research Group")),
+            "a8061dc1305136c6c22b8baf0c0127a9");
+}
+
+TEST(ChaCha20Poly1305, Rfc8439AeadVector) {
+  // RFC 8439 section 2.8.2: the ciphertext is ChaCha20 from counter 1 and
+  // the tag covers the AAD and the ciphertext.
+  Key256 key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(0x80 + i);
+  }
+  Nonce96 nonce{};
+  const std::string nonceBytes = unhex("070000004041424344454647");
+  std::copy(nonceBytes.begin(), nonceBytes.end(), nonce.begin());
+  const std::string aad = unhex("50515253c0c1c2c3c4c5c6c7");
+  const std::string plaintext =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only "
+      "one tip for the future, sunscreen would be it.";
+  const std::string ciphertext = chacha20Xor(plaintext, key, nonce);
+  EXPECT_EQ(ciphertext,
+            unhex("d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a7"
+                  "36ee62d63dbea45e8ca9671282fafb69da92728b1a71de0a9e060b29"
+                  "05d6a5b67ecd3b3692ddbd7f2d778b8c9803aee328091b58fab324e4"
+                  "fad675945585808b4831d7bc3ff4def08e4b7a9de576d26586cec64b"
+                  "6116"));
+  EXPECT_EQ(hex(aeadTag(key, nonce, aad, ciphertext)),
+            "1ae10b594f09e26a7e902ecbd0600691");
+  // Empty AAD and message: only the length block is authenticated.
+  EXPECT_EQ(hex(aeadTag(key, nonce, "", "")),
+            "a0784d7a4716f3feb4f64e7f4b39bf04");
+}
+
+TEST(ChaCha20, InPlaceMatchesCopy) {
+  const Key256 key = rfcKey();
+  Nonce96 nonce{};
+  nonce[0] = 0x11;
+  std::string data(300, 'q');
+  const std::string copied = chacha20Xor(data, key, nonce, 5);
+  chacha20XorInPlace(data, key, nonce, 5);
+  EXPECT_EQ(data, copied);
+}
 
 TEST(KeyedTag, DeterministicForSameKeyAndData) {
   const Key256 key = macTestKey(0x10);
-  const Tag128 a = keyedTag(key, "snapshot ciphertext");
-  const Tag128 b = keyedTag(key, "snapshot ciphertext");
+  const Tag128 a = poly1305(key, "snapshot ciphertext");
+  const Tag128 b = poly1305(key, "snapshot ciphertext");
   EXPECT_TRUE(tagEquals(a, b));
 }
 
 TEST(KeyedTag, DifferentKeysProduceDifferentTags) {
-  const Tag128 a = keyedTag(macTestKey(0x10), "snapshot ciphertext");
-  const Tag128 b = keyedTag(macTestKey(0x11), "snapshot ciphertext");
+  const Tag128 a = poly1305(macTestKey(0x10), "snapshot ciphertext");
+  const Tag128 b = poly1305(macTestKey(0x11), "snapshot ciphertext");
   EXPECT_FALSE(tagEquals(a, b));
 }
 
 TEST(KeyedTag, AnySingleBitFlipChangesTheTag) {
-  // The tag defends encrypted snapshots against ChaCha20 malleability:
+  // The tag defends encrypted state files against ChaCha20 malleability:
   // every 1-bit ciphertext change must be visible in the tag.
   const Key256 key = macTestKey(0x42);
-  const std::string data = "BFSNAPE2 envelope bytes under test 0123456789";
-  const Tag128 clean = keyedTag(key, data);
+  const std::string data = "BFSTATE envelope bytes under test 0123456789";
+  const Tag128 clean = poly1305(key, data);
   for (std::size_t byte = 0; byte < data.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = data;
       flipped[byte] = static_cast<char>(
           static_cast<unsigned char>(flipped[byte]) ^ (1u << bit));
-      EXPECT_FALSE(tagEquals(keyedTag(key, flipped), clean))
+      EXPECT_FALSE(tagEquals(poly1305(key, flipped), clean))
           << "tag blind to flip at byte " << byte << " bit " << bit;
     }
   }
@@ -228,16 +307,20 @@ TEST(KeyedTag, AnySingleBitFlipChangesTheTag) {
 TEST(KeyedTag, LengthAndPositionBound) {
   const Key256 key = macTestKey(0x07);
   // Moving a boundary byte between "prefix" and "suffix" must not collide.
-  EXPECT_FALSE(tagEquals(keyedTag(key, "ab"),
-                         keyedTag(key, std::string("a\0b", 3))));
-  EXPECT_FALSE(tagEquals(keyedTag(key, "abc"), keyedTag(key, "ab")));
-  EXPECT_FALSE(tagEquals(keyedTag(key, ""), keyedTag(key, std::string(1, 0))));
+  EXPECT_FALSE(tagEquals(poly1305(key, "ab"),
+                         poly1305(key, std::string("a\0b", 3))));
+  EXPECT_FALSE(tagEquals(poly1305(key, "abc"), poly1305(key, "ab")));
+  EXPECT_FALSE(tagEquals(poly1305(key, ""), poly1305(key, std::string(1, 0))));
+  // The AEAD tag binds the AAD/ciphertext split through the length block.
+  Nonce96 nonce{};
+  EXPECT_FALSE(tagEquals(aeadTag(key, nonce, "ab", "c"),
+                         aeadTag(key, nonce, "a", "bc")));
 }
 
 TEST(KeyedTag, EmptyMessageHasAStableKeyedValue) {
-  const Tag128 a = keyedTag(macTestKey(0x00), "");
-  const Tag128 b = keyedTag(macTestKey(0x00), "");
-  const Tag128 c = keyedTag(macTestKey(0x01), "");
+  const Tag128 a = poly1305(macTestKey(0x00), "");
+  const Tag128 b = poly1305(macTestKey(0x00), "");
+  const Tag128 c = poly1305(macTestKey(0x01), "");
   EXPECT_TRUE(tagEquals(a, b));
   EXPECT_FALSE(tagEquals(a, c));
 }

@@ -10,15 +10,24 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
-#include "crypto/chacha20.h"
 #include "flow/snapshot.h"
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
 #include "util/binary_io.h"
-#include "util/hashing.h"
 
 namespace bf::flow {
 namespace {
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
 
 class SnapshotTest : public ::testing::Test {
  protected:
@@ -148,9 +157,9 @@ TEST_F(SnapshotTest, EncryptedFileRoundTrip) {
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto maxTs = loadSnapshot(restored, path, "org-secret");
-  ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
-  clock2.advanceTo(maxTs.value() + 1);
+  const auto info = loadSnapshot(restored, path, "org-secret");
+  ASSERT_TRUE(info.ok()) << info.errorMessage();
+  clock2.advanceTo(info.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
 }
 
@@ -190,9 +199,9 @@ TEST_F(SnapshotTest, PlaintextSnapshotWorksWithoutSecret) {
   ASSERT_TRUE(saveSnapshot(tracker_, path, "").ok());
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto maxTs = loadSnapshot(restored, path, "");
-  ASSERT_TRUE(maxTs.ok());
-  clock2.advanceTo(maxTs.value() + 1);
+  const auto info = loadSnapshot(restored, path, "");
+  ASSERT_TRUE(info.ok());
+  clock2.advanceTo(info.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
 }
 
@@ -309,8 +318,8 @@ TEST_F(SnapshotTest, ConcurrentSavesToSamePathStayIntact) {
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto maxTs = loadSnapshot(restored, path, "");
-  ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
+  const auto info = loadSnapshot(restored, path, "");
+  ASSERT_TRUE(info.ok()) << info.errorMessage();
   EXPECT_GT(restored.segmentDb().size(), 0u);
 }
 
@@ -328,38 +337,84 @@ TEST_F(SnapshotTest, SaveOverwritesExistingSnapshotAtomically) {
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto maxTs = loadSnapshot(restored, path, "");
-  ASSERT_TRUE(maxTs.ok());
-  clock2.advanceTo(maxTs.value() + 1);
+  const auto info = loadSnapshot(restored, path, "");
+  ASSERT_TRUE(info.ok());
+  clock2.advanceTo(info.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(extra, "probe").empty());
 }
 
-TEST_F(SnapshotTest, V2BlobCarriesSequenceAndRoundTrips) {
+TEST_F(SnapshotTest, FileCarriesSequenceAndRoundTrips) {
   const std::string probe = populate();
-  const std::string blob = exportStateV2(tracker_, /*sequence=*/42);
+  for (const char* secret : {"", "org-secret"}) {
+    const std::string path = tempPath("sequence");
+    ASSERT_TRUE(saveSnapshot(tracker_, path, secret, /*sequence=*/42).ok());
 
-  util::LogicalClock clock2;
-  FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = importStateEx(restored, blob);
-  ASSERT_TRUE(info.ok()) << info.errorMessage();
-  EXPECT_EQ(info.value().sequence, 42u);
-  clock2.advanceTo(info.value().maxTimestamp + 1);
-  EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
-  // Same logical state regardless of the container version.
-  EXPECT_EQ(exportState(restored), exportState(tracker_));
+    util::LogicalClock clock2;
+    FlowTracker restored(TrackerConfig{}, &clock2);
+    const auto info = loadSnapshot(restored, path, secret);
+    ASSERT_TRUE(info.ok()) << info.errorMessage();
+    EXPECT_EQ(info.value().sequence, 42u);
+    clock2.advanceTo(info.value().maxTimestamp + 1);
+    EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
+    // Same canonical body whether or not the file was sealed.
+    EXPECT_EQ(exportState(restored), exportState(tracker_));
+  }
 }
 
-TEST_F(SnapshotTest, V2BlobBitFlipFailsCrc) {
+TEST_F(SnapshotTest, PlainFileBitFlipFailsCrc) {
   populate();
-  std::string blob = exportStateV2(tracker_, 7);
-  // Any single flipped bit anywhere in the blob must trip the trailer CRC.
-  blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x01);
+  const std::string path = tempPath("crcflip");
+  ASSERT_TRUE(saveSnapshot(tracker_, path, "", 7).ok());
+  std::string data = readFile(path);
+  // Any single flipped bit anywhere in the file must trip the trailer CRC.
+  data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x01);
+  writeFile(path, data);
+
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = importStateEx(restored, blob);
+  const auto info = loadSnapshot(restored, path, "");
   ASSERT_FALSE(info.ok());
   EXPECT_NE(info.errorMessage().find("CRC"), std::string::npos);
   EXPECT_EQ(restored.segmentDb().size(), 0u);
+}
+
+TEST_F(SnapshotTest, PlainFileRefusedWhenSecretGiven) {
+  // A reader that expects sealed checkpoints must not accept a plain one
+  // in their place: that would bypass the tag.
+  populate();
+  const std::string path = tempPath("downgrade");
+  ASSERT_TRUE(saveSnapshot(tracker_, path, "").ok());
+  util::LogicalClock clock2;
+  FlowTracker restored(TrackerConfig{}, &clock2);
+  EXPECT_FALSE(loadSnapshot(restored, path, "org-secret").ok());
+  EXPECT_EQ(restored.segmentDb().size(), 0u);
+}
+
+TEST_F(SnapshotTest, SealedHeaderTamperFailsTheTag) {
+  // The header is the tag's additional data: flipping the kind, sequence
+  // or nonce fails authentication; a flipped magic is not a state file.
+  populate();
+  const std::string path = tempPath("header");
+  ASSERT_TRUE(saveSnapshot(tracker_, path, "org-secret", 9).ok());
+  const std::string clean = readFile(path);
+  // Header offsets: magic 0..7, version 8, kind 9, cipher 10,
+  // sequence 11..18, nonce 19..30.
+  for (std::size_t offset : {std::size_t{3}, std::size_t{9}, std::size_t{11},
+                             std::size_t{18}, std::size_t{19},
+                             std::size_t{30}}) {
+    std::string data = clean;
+    data[offset] = static_cast<char>(data[offset] ^ 0x01);
+    writeFile(path, data);
+    util::LogicalClock clock2;
+    FlowTracker restored(TrackerConfig{}, &clock2);
+    const auto info = loadSnapshot(restored, path, "org-secret");
+    ASSERT_FALSE(info.ok()) << "flip at header byte " << offset;
+    if (offset >= 8) {
+      EXPECT_NE(info.errorMessage().find("authentication"), std::string::npos)
+          << "flip at header byte " << offset << ": " << info.errorMessage();
+    }
+    EXPECT_EQ(restored.segmentDb().size(), 0u);
+  }
 }
 
 TEST_F(SnapshotTest, EncryptedSnapshotBitFlipFailsAuthentication) {
@@ -369,28 +424,22 @@ TEST_F(SnapshotTest, EncryptedSnapshotBitFlipFailsAuthentication) {
   populate();
   const std::string path = tempPath("bitflip");
   ASSERT_TRUE(saveSnapshot(tracker_, path, "org-secret").ok());
-
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  std::string data = readFile(path);
   data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x01);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.close();
+  writeFile(path, data);
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto result = loadSnapshotEx(restored, path, "org-secret");
+  const auto result = loadSnapshot(restored, path, "org-secret");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("authentication"), std::string::npos);
   EXPECT_EQ(restored.segmentDb().size(), 0u);
 }
 
-/// Hand-builds a v1 blob holding one segment with the given kind byte and
-/// threshold (no grams, no associations).
+/// Hand-builds a state body holding one segment with the given kind byte
+/// and threshold (no grams, no associations).
 std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
-  std::string blob = "BFSNAPP1";
+  std::string blob;
   util::putU64(blob, 1);  // segment count
   util::putU64(blob, 1);  // id
   util::putU8(blob, kindByte);
@@ -398,6 +447,7 @@ std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
   util::putStr(blob, "x");
   util::putStr(blob, "svc");
   util::putF64(blob, threshold);
+  util::putU64(blob, 0);  // tenant
   util::putU64(blob, 1);  // createdAt
   util::putU64(blob, 1);  // updatedAt
   util::putU64(blob, 0);  // gram count
@@ -409,7 +459,7 @@ std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
 TEST_F(SnapshotTest, ImportRejectsUnknownSegmentKindByte) {
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto result = importStateEx(restored, blobWithSegment(7, 0.5));
+  const auto result = importState(restored, blobWithSegment(7, 0.5));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("SegmentKind"), std::string::npos);
   EXPECT_EQ(restored.segmentDb().size(), 0u);
@@ -420,69 +470,14 @@ TEST_F(SnapshotTest, ImportRejectsOutOfRangeThresholds) {
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(), 2.0, -0.25}) {
     FlowTracker restored(TrackerConfig{}, &clock2);
-    const auto result = importStateEx(restored, blobWithSegment(0, bad));
+    const auto result = importState(restored, blobWithSegment(0, bad));
     ASSERT_FALSE(result.ok()) << "threshold " << bad << " must be rejected";
     EXPECT_NE(result.errorMessage().find("threshold"), std::string::npos);
     EXPECT_EQ(restored.segmentDb().size(), 0u);
   }
   // Sanity: the same blob with a legal threshold imports fine.
   FlowTracker restored(TrackerConfig{}, &clock2);
-  EXPECT_TRUE(importStateEx(restored, blobWithSegment(0, 0.5)).ok());
-}
-
-TEST_F(SnapshotTest, LegacyV1PlainFileStillLoads) {
-  const std::string probe = populate();
-  const std::string path = tempPath("v1plain");
-  {  // A pre-durability deployment wrote the bare v1 blob to disk.
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const std::string blob = exportState(tracker_);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-  util::LogicalClock clock2;
-  FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = loadSnapshotEx(restored, path, "");
-  ASSERT_TRUE(info.ok()) << info.errorMessage();
-  EXPECT_EQ(info.value().sequence, 0u);  // v1 has no sequence
-  clock2.advanceTo(info.value().maxTimestamp + 1);
-  EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
-}
-
-TEST_F(SnapshotTest, LegacyV1EncryptedFileStillLoads) {
-  // Byte-for-byte replica of the retired v1 encrypted writer ("BFSNAPE1" +
-  // nonce + ChaCha20(v1 blob), no tag), using the same frozen key
-  // derivation. Migration contract: these files must keep loading.
-  const std::string probe = populate();
-  const std::string_view secret = "org-secret";
-
-  crypto::Key256 key{};
-  std::uint64_t h = util::fnv1a64(secret);
-  for (int i = 0; i < 4; ++i) {
-    h = util::mix64(h + static_cast<std::uint64_t>(i) + 0xB0F1ULL);
-    for (int b = 0; b < 8; ++b) {
-      key[static_cast<std::size_t>(i * 8 + b)] =
-          static_cast<std::uint8_t>(h >> (8 * b));
-    }
-  }
-  crypto::Nonce96 nonce{};
-  for (std::size_t i = 0; i < nonce.size(); ++i) {
-    nonce[i] = static_cast<std::uint8_t>(0x30 + i);
-  }
-  const std::string blob = exportState(tracker_);
-  std::string fileData = "BFSNAPE1";
-  fileData.append(reinterpret_cast<const char*>(nonce.data()), nonce.size());
-  fileData += crypto::chacha20Xor(blob, key, nonce);
-
-  const std::string path = tempPath("v1enc");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(fileData.data(), static_cast<std::streamsize>(fileData.size()));
-  }
-  util::LogicalClock clock2;
-  FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = loadSnapshotEx(restored, path, std::string(secret));
-  ASSERT_TRUE(info.ok()) << info.errorMessage();
-  clock2.advanceTo(info.value().maxTimestamp + 1);
-  EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
+  EXPECT_TRUE(importState(restored, blobWithSegment(0, 0.5)).ok());
 }
 
 TEST_F(SnapshotTest, EvictionDropsOldAssociations) {
@@ -522,9 +517,9 @@ TEST_F(SnapshotTest, SaveUnderEnospcLeavesNoOrphanAndKeepsOldSnapshot) {
   // The previous snapshot still loads and reflects the OLD state.
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto maxTs = loadSnapshot(restored, path, "");
-  ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
-  clock2.advanceTo(maxTs.value() + 1);
+  const auto info = loadSnapshot(restored, path, "");
+  ASSERT_TRUE(info.ok()) << info.errorMessage();
+  clock2.advanceTo(info.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(probe, "probe").empty());
   EXPECT_EQ(restored.segmentDb().findByName("late#p0"), nullptr);
 }
@@ -584,10 +579,10 @@ TEST_F(SnapshotTest, LoadDetectsReadCorruptionViaVfs) {
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
   // Encrypt-then-MAC: the flipped byte fails authentication outright.
-  EXPECT_FALSE(loadSnapshotEx(restored, path, "sekrit", &fault).ok());
+  EXPECT_FALSE(loadSnapshot(restored, path, "sekrit", &fault).ok());
   EXPECT_EQ(restored.segmentDb().size(), 0u);
   // A clean read still round-trips.
-  EXPECT_TRUE(loadSnapshotEx(restored, path, "sekrit", &fault).ok());
+  EXPECT_TRUE(loadSnapshot(restored, path, "sekrit", &fault).ok());
 }
 
 }  // namespace

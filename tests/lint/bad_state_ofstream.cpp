@@ -1,6 +1,7 @@
-// bflint fixture: all durable-state I/O in src/flow goes through the
-// bf::io VFS seam (src/io/vfs.h). A bare std::ofstream would write state
-// bytes no recovery path can validate and no fault injector can reach.
+// bflint fixture: all durable-state I/O in src/core and src/flow goes
+// through the bf::io VFS seam (src/io/vfs.h). A bare std::ofstream would
+// write state bytes no recovery path can validate and no fault injector
+// can reach.
 // bflint-expect: state-file-io
 #include <fstream>
 #include <string>
